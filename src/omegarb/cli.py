@@ -53,9 +53,7 @@ def _sum_payload(s, render):
     return [{"coeff": str(c), "term": render(t)} for t, c in s]
 
 
-def cmd_check(args) -> int:
-    structure = parse_structure(_read(args.structure))
-    report = check(structure, args.level)
+def _emit_report(report, args, labels=None) -> int:
     if args.format == "json":
         payload = {
             "level": report.level,
@@ -67,8 +65,13 @@ def cmd_check(args) -> int:
         }
         _emit(json.dumps(payload, indent=2), args.out)
     else:
-        _emit(report.summary(structure.labels), args.out)
+        _emit(report.summary(labels), args.out)
     return EXIT_OK if report.ok else EXIT_VIOLATION
+
+
+def cmd_check(args) -> int:
+    structure = parse_structure(_read(args.structure))
+    return _emit_report(check(structure, args.level), args, structure.labels)
 
 
 def cmd_product(args) -> int:
@@ -158,9 +161,7 @@ def cmd_dendriform(args) -> int:
     view = rba.DendriformView(algebra)
     samples = rba.tree_samples(structure.size, count=args.samples, seed=args.seed)
     triples = [(a, b, c) for a in samples for b in samples for c in samples]
-    report = rba.check_dendriform(view, triples)
-    _emit(report.summary(), args.out)
-    return EXIT_OK if report.ok else EXIT_VIOLATION
+    return _emit_report(rba.check_dendriform(view, triples), args)
 
 
 def cmd_evaluate(args) -> int:

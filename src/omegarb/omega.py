@@ -55,13 +55,20 @@ class StructureError(ValueError):
     """Raised for malformed structures or unmet checker preconditions."""
 
 
+def _table_entry(v) -> int:
+    iv = int(v)
+    if iv != v:
+        raise StructureError(f"table entry {v} is not an integer")
+    return iv
+
+
 class OpTable:
     """A binary operation on {0..n-1} as a row-major table (row = first arg)."""
 
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(tuple(_table_entry(v) for v in row) for row in rows)
         n = len(rows)
         for row in rows:
             if len(row) != n:
@@ -112,9 +119,6 @@ class OpTable:
 
 def _conj_lam(lam, perm):
     n = len(lam)
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
     return tuple(tuple(lam[perm[i]][perm[j]] for j in range(n)) for i in range(n))
 
 
@@ -169,6 +173,11 @@ class OmegaStructure:
         if self.psi is not None:
             if len(self.psi) != n or any(len(row) != n for row in self.psi):
                 raise StructureError("psi table has wrong shape")
+            for row in self.psi:
+                for cell in row:
+                    for b in cell._terms:
+                        if not 0 <= b < n:
+                            raise StructureError(f"psi key {b} outside the carrier 0..{n - 1}")
 
     # -- weight access ---------------------------------------------------
 
@@ -635,9 +644,7 @@ def _run_pipeline(s: OmegaStructure, steps, triple) -> FormalSum:
         elif kind == "psi":
             def contract(t, p=pos):
                 image = s.psi_map(t[p], t[p + 1])
-                return FormalSum(
-                    {t[:p] + (b,) + t[p + 2:]: c for b, c in image}
-                )
+                return image.map_basis(lambda b: t[:p] + (b,) + t[p + 2:])
             cur = cur.apply_linear(contract)
         else:
             if kind == "phi_l":
@@ -893,29 +900,40 @@ def _tokenize_value(text: str):
 
 
 def _parse_tokens(tokens, pos):
-    tok = tokens[pos]
+    tok = _token_at(tokens, pos)
     if tok == "[":
         out = []
         pos += 1
-        while tokens[pos] != "]":
+        while _token_at(tokens, pos) != "]":
             item, pos = _parse_tokens(tokens, pos)
             out.append(item)
-            if tokens[pos] == ",":
+            if _token_at(tokens, pos) == ",":
                 pos += 1
         return out, pos + 1
     if tok == "{":
         out = {}
         pos += 1
-        while tokens[pos] != "}":
+        while _token_at(tokens, pos) != "}":
             key, pos = _parse_tokens(tokens, pos)
-            if tokens[pos] != ":":
+            if not isinstance(key, Fraction):
+                raise StructureError("formal-sum keys must be scalars")
+            if _token_at(tokens, pos) != ":":
                 raise StructureError("expected ':' in formal-sum literal")
             val, pos = _parse_tokens(tokens, pos + 1)
             out[key] = val
-            if tokens[pos] == ",":
+            if _token_at(tokens, pos) == ",":
                 pos += 1
         return out, pos + 1
-    return parse_scalar(tok), pos + 1
+    try:
+        return parse_scalar(tok), pos + 1
+    except ValueError as exc:
+        raise StructureError(str(exc)) from None
+
+
+def _token_at(tokens, pos):
+    if pos >= len(tokens):
+        raise StructureError("value ends inside an unclosed '[' or '{'")
+    return tokens[pos]
 
 
 def _parse_value(text: str):
@@ -928,11 +946,45 @@ def _parse_value(text: str):
     return value
 
 
+def _as_matrix(value, what, cell):
+    """A list-of-rows value with ``cell`` applied to each entry."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise StructureError(f"{what} must be a table of rows like [[..],[..]]")
+    return [[cell(v) for v in row] for row in value]
+
+
+def _describe(value) -> str:
+    if isinstance(value, list):
+        return "a list"
+    if isinstance(value, dict):
+        return "a formal sum"
+    return str(value)
+
+
+def _as_integer(value, what) -> int:
+    if not isinstance(value, Fraction) or value.denominator != 1:
+        raise StructureError(f"{what} must be an integer, got {_describe(value)}")
+    return value.numerator
+
+
+def _as_scalar(value, what) -> Fraction:
+    if not isinstance(value, Fraction):
+        raise StructureError(f"{what} must be a scalar, got {_describe(value)}")
+    return value
+
+
 def _as_int_table(value, what):
-    try:
-        return OpTable([[int(v) for v in row] for row in value])
-    except (TypeError, ValueError) as exc:
-        raise StructureError(f"bad {what} table: {exc}") from None
+    return OpTable(_as_matrix(value, what, lambda v: _as_scalar(v, f"{what} table entry")))
+
+
+def _as_sum_cell(cell, what):
+    """A table cell: a formal sum {basis index: scalar} or a bare basis index."""
+    if isinstance(cell, dict):
+        return FormalSum(
+            {_as_integer(b, f"{what} key"): _as_scalar(c, f"{what} coefficient")
+             for b, c in cell.items()}
+        )
+    return FormalSum.term(_as_integer(cell, f"{what} entry"))
 
 
 def parse_structure(text: str) -> OmegaStructure:
@@ -950,16 +1002,21 @@ def parse_structure(text: str) -> OmegaStructure:
         fields[key] = (lineno, value)
     if "size" not in fields:
         raise StructureError("missing 'size'")
-    size = int(fields.pop("size")[1])
-    if "labels" in fields:
-        labels = tuple(fields.pop("labels")[1].split())
-    else:
-        labels = _default_labels(size)
+    size_text = fields.pop("size")[1]
+    if not size_text.isdecimal():
+        raise StructureError(f"size must be a nonnegative integer, got {size_text!r}")
+    size = int(size_text)
     tables = {}
     for key in ("left", "right", "lhd", "rhd"):
         if key not in fields:
             raise StructureError(f"missing table {key!r}")
         tables[key] = _as_int_table(_parse_value(fields.pop(key)[1]), key)
+        if tables[key].n != size:
+            raise StructureError(f"table {key} has wrong size")
+    if "labels" in fields:
+        labels = tuple(fields.pop("labels")[1].split())
+    else:
+        labels = _default_labels(size)
     dot = star = lam = psi = None
     if "dot" in fields:
         dot = _as_int_table(_parse_value(fields.pop("dot")[1]), "dot")
@@ -967,17 +1024,10 @@ def parse_structure(text: str) -> OmegaStructure:
         star = _as_int_table(_parse_value(fields.pop("star")[1]), "star")
     if "lambda" in fields:
         raw = _parse_value(fields.pop("lambda")[1])
-        lam = tuple(tuple(Fraction(v) for v in row) for row in raw)
+        lam = tuple(map(tuple, _as_matrix(raw, "lambda", lambda v: _as_scalar(v, "lambda entry"))))
     if "psi" in fields:
         raw = _parse_value(fields.pop("psi")[1])
-        psi = tuple(
-            tuple(
-                FormalSum({int(b): c for b, c in cell.items()}) if isinstance(cell, dict)
-                else FormalSum.term(int(cell))
-                for cell in row
-            )
-            for row in raw
-        )
+        psi = tuple(map(tuple, _as_matrix(raw, "psi", lambda v: _as_sum_cell(v, "psi"))))
     weight_zero = False
     if "weight_zero" in fields:
         weight_zero = fields.pop("weight_zero")[1].lower() in ("1", "true", "yes")

@@ -1,23 +1,30 @@
 """Exact rational coefficients and canonical formal linear combinations.
 
 Everything downstream (parameter structures, tree and word algebras, the
-classifier) computes over the rationals, represented by
-:class:`fractions.Fraction`: numerator/denominator in lowest terms with a
-positive denominator, so equality of coefficients is decidable and exact.
+classifier) computes over the rationals, exactly and without floats.  A
+coefficient is stored as a plain ``int`` when it is integral and as a
+:class:`fractions.Fraction` (lowest terms, positive denominator) otherwise,
+so equality of coefficients is decidable and exact, and the common integral
+case avoids Fraction arithmetic.  ``Fraction(n) == n`` and
+``hash(Fraction(n)) == hash(n)``, so the two storage forms of one value
+compare and hash alike, and ``str`` prints both the same way.
+
 A :class:`FormalSum` is a finite linear combination of hashable basis
-elements with nonzero Fraction coefficients; the zero element is the empty
-sum.
+elements with nonzero coefficients in that canonical form; the zero element
+is the empty sum.  :func:`accumulate` is the one step that adds scaled terms
+into a coefficient dict and keeps it canonical; sums, scalings, relabelings
+and the product loops of the tree and word algebras all go through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
-Scalar = Fraction
+Scalar = Union[int, Fraction]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -28,8 +35,32 @@ def parse_scalar(text: str) -> Fraction:
         raise ValueError(f"bad scalar literal {text!r}: {exc}") from None
 
 
-def format_scalar(value: Fraction) -> str:
+def format_scalar(value: Scalar) -> str:
     return str(value)
+
+
+def accumulate(acc: dict, items: Iterable, factor: Scalar = 1) -> dict:
+    """Add ``factor * c`` into ``acc[basis]`` for each (basis, c) in items.
+
+    ``acc`` stays canonical: a coefficient that cancels is removed, and one
+    that is integral is stored as an ``int``.  ``factor`` and every ``c``
+    must be ints or Fractions.  Returns ``acc``.
+    """
+    get = acc.get
+    one = factor == 1
+    for basis, c in items:
+        cur = get(basis, 0) + (c if one else factor * c)
+        if type(cur) is not int and cur.denominator == 1:
+            cur = cur.numerator
+        if cur:
+            acc[basis] = cur
+        else:
+            acc.pop(basis, None)
+    return acc
+
+
+def _exact(coeff) -> Scalar:
+    return coeff if type(coeff) is int else Fraction(coeff)
 
 
 def _sort_key(basis):
@@ -49,35 +80,25 @@ class FormalSum:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping | Iterable | None = None):
-        acc: dict = {}
+        self._terms = {}
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
-            for basis, coeff in items:
-                coeff = Fraction(coeff)
-                if coeff:
-                    cur = acc.get(basis, ZERO) + coeff
-                    if cur:
-                        acc[basis] = cur
-                    else:
-                        acc.pop(basis, None)
-        self._terms = acc
+            accumulate(self._terms, ((b, _exact(c)) for b, c in items if c))
 
     @classmethod
     def zero(cls) -> "FormalSum":
         return cls()
 
     @classmethod
-    def term(cls, basis, coeff: Fraction | int = 1) -> "FormalSum":
-        out = cls()
-        coeff = Fraction(coeff)
-        if coeff:
-            out._terms[basis] = coeff
-        return out
+    def term(cls, basis, coeff: Scalar = 1) -> "FormalSum":
+        if type(coeff) is int:
+            return cls._raw({basis: coeff} if coeff else {})
+        return cls._raw(accumulate({}, ((basis, Fraction(coeff)),)))
 
     @classmethod
     def _raw(cls, terms: dict) -> "FormalSum":
-        # internal: terms must already be canonical (no zeros)
-        out = cls()
+        # internal: terms must already be canonical (no zeros, integral as int)
+        out = cls.__new__(cls)
         out._terms = terms
         return out
 
@@ -87,7 +108,7 @@ class FormalSum:
     def __iter__(self) -> Iterator:
         return iter(self.items())
 
-    def coeff(self, basis) -> Fraction:
+    def coeff(self, basis) -> Scalar:
         return self._terms.get(basis, ZERO)
 
     def support(self) -> list:
@@ -117,14 +138,7 @@ class FormalSum:
             return other
         if not other._terms:
             return self
-        acc = dict(self._terms)
-        for basis, coeff in other._terms.items():
-            cur = acc.get(basis, ZERO) + coeff
-            if cur:
-                acc[basis] = cur
-            else:
-                acc.pop(basis, None)
-        return FormalSum._raw(acc)
+        return FormalSum._raw(accumulate(dict(self._terms), other._terms.items()))
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
         return self + (-other)
@@ -132,13 +146,13 @@ class FormalSum:
     def __neg__(self) -> "FormalSum":
         return FormalSum._raw({b: -c for b, c in self._terms.items()})
 
-    def scale(self, factor: Fraction | int) -> "FormalSum":
-        factor = Fraction(factor)
+    def scale(self, factor: Scalar) -> "FormalSum":
+        factor = _exact(factor)
         if not factor:
             return FormalSum()
         if factor == 1:
             return self
-        return FormalSum._raw({b: factor * c for b, c in self._terms.items()})
+        return FormalSum._raw(accumulate({}, self._terms.items(), factor))
 
     def __rmul__(self, factor) -> "FormalSum":
         if isinstance(factor, (int, Fraction)):
@@ -147,22 +161,16 @@ class FormalSum:
 
     def map_basis(self, fn: Callable) -> "FormalSum":
         """Relabel basis elements through fn (linear extension of b -> fn(b))."""
-        acc: dict = {}
-        for basis, coeff in self._terms.items():
-            image = fn(basis)
-            cur = acc.get(image, ZERO) + coeff
-            if cur:
-                acc[image] = cur
-            else:
-                acc.pop(image, None)
-        return FormalSum._raw(acc)
+        return FormalSum._raw(
+            accumulate({}, ((fn(b), c) for b, c in self._terms.items()))
+        )
 
     def apply_linear(self, fn: Callable[[object], "FormalSum"]) -> "FormalSum":
         """Linear extension of a basis map b -> FormalSum."""
-        out = FormalSum()
+        acc: dict = {}
         for basis, coeff in self._terms.items():
-            out = out + fn(basis).scale(coeff)
-        return out
+            accumulate(acc, fn(basis)._terms.items(), coeff)
+        return FormalSum._raw(acc)
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -175,10 +183,10 @@ def bilinear_extend(fn: Callable[[object, object], FormalSum]):
     """The unique bilinear extension of a basis-pair map to pairs of sums."""
 
     def extended(x: FormalSum, y: FormalSum) -> FormalSum:
-        out = FormalSum()
+        acc: dict = {}
         for bx, cx in x._terms.items():
             for by, cy in y._terms.items():
-                out = out + fn(bx, by).scale(cx * cy)
-        return out
+                accumulate(acc, fn(bx, by)._terms.items(), cx * cy)
+        return FormalSum._raw(acc)
 
     return extended

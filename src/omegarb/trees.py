@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .omega import OmegaStructure, StructureError
-from .scalars import FormalSum
+from .scalars import FormalSum, accumulate
 
 __all__ = [
     "Tree",
@@ -137,6 +137,9 @@ class TreeAlgebra:
             )
         self.omega = omega
         self._cache: dict = {}
+        # one object per distinct result tree of the memo: equal trees built
+        # by different diamond_basis calls share storage and compare by `is`
+        self._trees: dict = {}
 
     def one(self) -> FormalSum:
         return FormalSum.term(_UNIT)
@@ -162,14 +165,7 @@ class TreeAlgebra:
         acc: dict = {}
         for t1, c1 in u._terms.items():
             for t2, c2 in v._terms.items():
-                factor = c1 * c2
-                one = factor == 1
-                for t, c in self.diamond_basis(t1, t2)._terms.items():
-                    cur = acc.get(t, 0) + (c if one else factor * c)
-                    if cur:
-                        acc[t] = cur
-                    else:
-                        del acc[t]
+                accumulate(acc, self.diamond_basis(t1, t2)._terms.items(), c1 * c2)
         return FormalSum._raw(acc)
 
     def diamond_basis(self, t: Tree, u: Tree) -> FormalSum:
@@ -182,9 +178,11 @@ class TreeAlgebra:
         head = t.children[:-1]
         tail = u.children[1:]
         angles = t.angles + u.angles
+        intern = self._trees.setdefault
         if last is None or first is None:
             merged = first if last is None else last
-            res = FormalSum.term(Tree(head + (merged,) + tail, angles))
+            tree = Tree(head + (merged,) + tail, angles)
+            res = FormalSum.term(intern(tree, tree))
         else:
             a, left_sub = last
             b, right_sub = first
@@ -202,9 +200,11 @@ class TreeAlgebra:
                     mid = mid + graft(
                         om.dot(a, b), self.diamond_basis(left_sub, right_sub)
                     ).scale(coeff)
-            res = mid.map_basis(
-                lambda r: Tree(head + (r.children[0],) + tail, angles)
-            )
+            def join(r):
+                tree = Tree(head + (r.children[0],) + tail, angles)
+                return intern(tree, tree)
+
+            res = mid.map_basis(join)
         self._cache[key] = res
         return res
 
@@ -254,6 +254,9 @@ def assoc_counterexample_search(omega: OmegaStructure, gens, bound: int = 3):
     Trees are built by grafting the generator corollas (single angles plus
     the two-angle corolla when two generators are available) up to the depth
     bound; returns (t1, t2, t3) with (t1*t2)*t3 != t1*(t2*t3), or None.
+    The search deepens one depth at a time: all triples of depth-2 trees come
+    first, and at depth d only the triples holding at least one tree of depth
+    d are scanned, so each triple of the full pool is scanned once.
     """
     alg = TreeAlgebra(omega)
     gens = list(gens)
@@ -262,22 +265,23 @@ def assoc_counterexample_search(omega: OmegaStructure, gens, bound: int = 3):
         bases.append(corolla((gens[0], gens[1])))
     pool = []
     tier = [graft(w, b) for b in bases for w in range(omega.size)]
-    pool.extend(tier)
-    d = 2
-    while d < bound:
-        tier = [graft(w, t) for t in tier for w in range(omega.size)]
+    for d in range(2, max(bound, 2) + 1):
+        if d > 2:
+            tier = [graft(w, t) for t in tier for w in range(omega.size)]
+        start = len(pool)
         pool.extend(tier)
-        d += 1
-    for t1 in pool:
-        s1 = FormalSum.term(t1)
-        for t2 in pool:
-            s12 = alg.product(s1, FormalSum.term(t2))
-            for t3 in pool:
-                s3 = FormalSum.term(t3)
-                lhs = alg.product(s12, s3)
-                rhs = alg.product(s1, alg.product(FormalSum.term(t2), s3))
-                if lhs != rhs:
-                    return (t1, t2, t3)
+        for i1, t1 in enumerate(pool):
+            s1 = FormalSum.term(t1)
+            for i2, t2 in enumerate(pool):
+                s2 = FormalSum.term(t2)
+                s12 = alg.product(s1, s2)
+                # triples of shallower trees only were scanned at depth d - 1
+                for t3 in pool if i1 >= start or i2 >= start else tier:
+                    s3 = FormalSum.term(t3)
+                    lhs = alg.product(s12, s3)
+                    rhs = alg.product(s1, alg.product(s2, s3))
+                    if lhs != rhs:
+                        return (t1, t2, t3)
     return None
 
 
@@ -415,6 +419,10 @@ def _tokenize_expr(text):
             if text[i:j] == "-":
                 tokens.append(("-", "-", i))
             else:
+                try:
+                    Fraction(text[i:j])
+                except (ValueError, ZeroDivisionError):
+                    raise ExprError(f"bad number literal {text[i:j]!r}", i) from None
                 tokens.append(("num", text[i:j], i))
             i = j
             continue

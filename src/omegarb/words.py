@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .omega import OmegaStructure, StructureError
-from .scalars import FormalSum, parse_scalar
+from .scalars import FormalSum, accumulate, parse_scalar
 
 __all__ = [
     "FiniteAlgebra",
@@ -52,6 +52,10 @@ class FiniteAlgebra:
         self.commutative = bool(commutative)
         if len(self.mult) != self.dim or any(len(row) != self.dim for row in self.mult):
             raise StructureError("multiplication table has wrong shape")
+        if any(not 0 <= b < self.dim for row in self.mult for cell in row for b in cell._terms):
+            raise StructureError(f"multiplication table names a basis index outside 0..{self.dim - 1}")
+        if unit is not None and not 0 <= unit < self.dim:
+            raise StructureError(f"unit index {unit} outside 0..{self.dim - 1}")
         self._validate()
 
     def _validate(self):
@@ -210,27 +214,23 @@ class WordAlgebra:
         acc: dict = {}
         for w1, c1 in u._terms.items():
             for w2, c2 in v._terms.items():
-                factor = c1 * c2
-                one = factor == 1
-                for w, c in self.diamond_basis(w1, w2)._terms.items():
-                    cur = acc.get(w, 0) + (c if one else factor * c)
-                    if cur:
-                        acc[w] = cur
-                    else:
-                        del acc[w]
+                accumulate(acc, self.diamond_basis(w1, w2)._terms.items(), c1 * c2)
         return FormalSum._raw(acc)
 
     def _cons(self, head: FormalSum, ty: int, tail: FormalSum) -> FormalSum:
+        """The sum of k (x)_ty w over the terms k of head and w of tail."""
         acc: dict = {}
-        for k, ck in head:
-            for word, cw in tail:
-                key = TypedWord((k,) + word.entries, (ty,) + word.types)
-                cur = acc.get(key, 0) + ck * cw
-                if cur:
-                    acc[key] = cur
-                else:
-                    acc.pop(key, None)
-        return FormalSum(acc)
+        tail_terms = tail._terms.items()
+        for k, ck in head._terms.items():
+            accumulate(
+                acc,
+                (
+                    (TypedWord((k,) + word.entries, (ty,) + word.types), cw)
+                    for word, cw in tail_terms
+                ),
+                ck,
+            )
+        return FormalSum._raw(acc)
 
     def diamond_basis(self, a: TypedWord, b: TypedWord) -> FormalSum:
         key = (a, b)
@@ -282,10 +282,10 @@ def word_evaluate(x: FormalSum | TypedWord, f, R, algebra: FiniteAlgebra):
     """
     for i in range(algebra.dim):
         for j in range(algebra.dim):
-            expect = FormalSum.zero()
-            for k, c in algebra.product_basis(i, j):
-                expect = expect + f[k].scale(c)
-            if R.product(f[i], f[j]) != expect:
+            expect: dict = {}
+            for k, c in algebra.product_basis(i, j)._terms.items():
+                accumulate(expect, f[k]._terms.items(), c)
+            if R.product(f[i], f[j]) != FormalSum._raw(expect):
                 raise StructureError(
                     f"f is not an algebra morphism on basis pair ({i},{j})"
                 )
@@ -298,10 +298,10 @@ def word_evaluate(x: FormalSum | TypedWord, f, R, algebra: FiniteAlgebra):
 
     if isinstance(x, TypedWord):
         return eval_word(x)
-    out = R.zero()
-    for w, c in x:
-        out = out + eval_word(w).scale(c)
-    return out
+    out: dict = {}
+    for w, c in x._terms.items():
+        accumulate(out, eval_word(w)._terms.items(), c)
+    return FormalSum._raw(out)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +311,7 @@ def word_evaluate(x: FormalSum | TypedWord, f, R, algebra: FiniteAlgebra):
 def parse_algebra(text: str) -> FiniteAlgebra:
     """Parse the algebra format: ``basis``, ``unit``, ``commutative``,
     ``mult`` entries (key = value, ';' or newline separated)."""
-    from .omega import _parse_value  # shared literal parser
+    from .omega import _as_matrix, _as_sum_cell, _parse_value  # shared literal parser
 
     fields = {}
     for chunk in text.replace(";", "\n").splitlines():
@@ -335,21 +335,19 @@ def parse_algebra(text: str) -> FiniteAlgebra:
     if "unit" in fields:
         raw = fields.pop("unit").strip()
         if raw.lower() != "none":
-            unit = labels.index(raw) if raw in labels else int(raw)
+            if raw in labels:
+                unit = labels.index(raw)
+            elif raw.isdecimal():
+                unit = int(raw)
+            else:
+                raise StructureError(f"unit {raw!r} is neither a basis label nor an index")
     commutative = False
     if "commutative" in fields:
         commutative = fields.pop("commutative").strip().lower() in ("1", "true", "yes")
     raw_mult = _parse_value(fields.pop("mult"))
     if fields:
         raise StructureError(f"unknown keys {sorted(fields)}")
-    mult = tuple(
-        tuple(
-            FormalSum({int(b): c for b, c in cell.items()}) if isinstance(cell, dict)
-            else FormalSum.term(int(cell))
-            for cell in row
-        )
-        for row in raw_mult
-    )
+    mult = _as_matrix(raw_mult, "mult", lambda v: _as_sum_cell(v, "mult"))
     return FiniteAlgebra(labels, mult, unit=unit, commutative=commutative)
 
 

@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegarb.cli import main
-from omegarb.omega import parse_structure, serialize_structure
+from omegarb.omega import StructureError, parse_structure, serialize_structure
+from omegarb.trees import ExprError, TreeAlgebra, parse_tree_expr
+from omegarb.words import WordAlgebra, parse_algebra, parse_word_expr
 from omegarb.tables import op
 from omegarb.omega import OmegaStructure
 
@@ -130,6 +134,13 @@ def test_dendriform_command(family_file):
     assert main(["dendriform", "--omega", family_file, "--samples", "4"]) == 0
 
 
+def test_dendriform_json(family_file, capsys):
+    assert main(["dendriform", "--omega", family_file, "--samples", "2",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"level": "dendriform", "ok": True, "violations": []}
+
+
 def test_evaluate_command(family_file, tmp_path, capsys):
     subst = tmp_path / "subst.txt"
     subst.write_text("x = ([a](|))\ny = (| x |)\n")
@@ -148,3 +159,79 @@ def test_structure_round_trip_through_serializer(family_file):
     assert parse_structure(serialize_structure(s)) == s
     assert s.rhd == op("aabb")
     assert isinstance(s, OmegaStructure)
+
+
+# -- malformed input ----------------------------------------------------------
+
+TABLES = "size = 2\nleft = [[0,0],[0,1]]\nright = [[0,0],[0,1]]\nlhd = [[0,0],[0,0]]\nrhd = [[0,0],[0,0]]\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (TABLES.replace("left = [[0,0],[0,1]]", "left = [[0,0],[0,1]"), "unclosed"),
+    (TABLES + "dot = [[0,0],[0,{1\n", "unclosed"),
+    (TABLES + "dot = [[0,0],[0,1]]\nlambda = [[{0:1},1],[1,1]]\n", "lambda entry"),
+    (TABLES + "dot = [[0,0],[0,1]]\nlambda = 1\n", "lambda must be a table"),
+    (TABLES + "psi = [[{0:1},{5:1}],[{0:1},{1:1}]]\n", "outside the carrier"),
+    (TABLES + "psi = [[{0:1},{3/2:1}],[{0:1},{1:1}]]\n", "psi key must be an integer"),
+    (TABLES.replace("left = [[0,0],[0,1]]", "left = [[1/2,0],[0,1]]"), "not an integer"),
+    (TABLES.replace("size = 2", "size = two"), "size"),
+])
+def test_malformed_structure_is_a_usage_error(tmp_path, capsys, text, message):
+    with pytest.raises(StructureError, match=message):
+        parse_structure(text)
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    assert main(["check", str(path), "--level", "maps"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def _mutations(valid):
+    """The valid text with one span replaced by a short random string."""
+    pieces = "0123456789-/[]{}:,=;# \n|()*+xyab"
+    return st.tuples(
+        st.integers(0, len(valid)), st.integers(0, 6), st.text(pieces, max_size=6)
+    ).map(lambda m: valid[:m[0]] + m[2] + valid[m[0] + m[1]:])
+
+
+ROOT = Path(__file__).resolve().parent.parent
+STRUCTURE_TEXT = (ROOT / "sample_inputs" / "family_z2.txt").read_text()
+PSI_TEXT = (ROOT / "sample_inputs" / "generalized_psi.txt").read_text()
+ALGEBRA_TEXT = (ROOT / "sample_inputs" / "truncated_poly.txt").read_text()
+FAMILY_STRUCTURE = parse_structure(STRUCTURE_TEXT)
+POLY = parse_algebra(ALGEBRA_TEXT)
+
+
+def _returns_or_rejects(parse, text):
+    try:
+        parse(text)
+    except (StructureError, ExprError):
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_mutations(STRUCTURE_TEXT), _mutations(PSI_TEXT)))
+def test_fuzz_parse_structure(text):
+    _returns_or_rejects(parse_structure, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutations(ALGEBRA_TEXT))
+def test_fuzz_parse_algebra(text):
+    _returns_or_rejects(parse_algebra, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutations("2/3*([a](| x |) y |) * (| x |) - (| y |)"))
+def test_fuzz_parse_tree_expr(text):
+    algebra = TreeAlgebra(FAMILY_STRUCTURE)
+    _returns_or_rejects(lambda t: parse_tree_expr(t, FAMILY_STRUCTURE.labels, algebra), text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutations("1/2 * x [a] 1 * (x [b] x) - 1 [a] x"))
+def test_fuzz_parse_word_expr(text):
+    algebra = WordAlgebra(FAMILY_STRUCTURE, POLY)
+    _returns_or_rejects(
+        lambda t: parse_word_expr(t, POLY, FAMILY_STRUCTURE.labels, algebra), text
+    )

@@ -94,3 +94,79 @@ def test_bilinearity_against_pairwise_expansion(x, y, z, c):
         for b, cb in y:
             expanded = expanded + FormalSum.term(a * 7 + b, Fraction(a - b, 3)).scale(ca * cb)
     assert f(x, y) == expanded
+
+
+# -- integral coefficients are stored as int ------------------------------------
+
+
+def assert_canonical(x):
+    for c in x._terms.values():
+        assert c != 0
+        assert (type(c) is int) == (c.denominator == 1), repr(c)
+
+
+def reference(x):
+    return {b: Fraction(c) for b, c in x._terms.items()}
+
+
+def ref_add(acc, b, c):
+    acc[b] = acc.get(b, Fraction(0)) + Fraction(c)
+    if not acc[b]:
+        del acc[b]
+
+
+scalars = st.one_of(st.integers(-12, 12), coeffs)
+mixed_sums = st.dictionaries(st.integers(0, 5), scalars, max_size=5).map(FormalSum)
+
+
+def test_integral_coefficients_are_ints():
+    x = FormalSum({"b1": Fraction(4, 2), "b2": Fraction(1, 2)})
+    assert type(x.coeff("b1")) is int and x.coeff("b1") == 2
+    assert type(FormalSum.term("b", Fraction(3)).coeff("b")) is int
+    assert type((x + x).coeff("b2")) is int
+    assert type(x.scale(Fraction(2, 3)).coeff("b2")) is Fraction
+    assert str(FormalSum.term("b", Fraction(6, 3)).coeff("b")) == "2"
+
+
+@given(mixed_sums, mixed_sums, scalars)
+def test_operations_agree_with_a_fraction_reference(x, y, c):
+    assert_canonical(x)
+    rx, ry = reference(x), reference(y)
+
+    want_add = dict(rx)
+    for b, v in ry.items():
+        ref_add(want_add, b, v)
+    want_sub = dict(rx)
+    for b, v in ry.items():
+        ref_add(want_sub, b, -v)
+    want_scale = {b: v * c for b, v in rx.items() if v * c}
+    want_map = {}
+    for b, v in rx.items():
+        ref_add(want_map, b // 2, v)
+
+    def image(b):
+        return FormalSum({b: Fraction(1, 2), b + 1: -1})
+
+    want_linear = {}
+    for b, v in rx.items():
+        ref_add(want_linear, b, v * Fraction(1, 2))
+        ref_add(want_linear, b + 1, -v)
+
+    def pair(a, b):
+        return FormalSum.term(a * 7 + b, Fraction(a - b, 3))
+
+    want_bilinear = {}
+    for a, va in rx.items():
+        for b, vb in ry.items():
+            ref_add(want_bilinear, a * 7 + b, va * vb * Fraction(a - b, 3))
+
+    for got, want in (
+        (x + y, want_add),
+        (x - y, want_sub),
+        (x.scale(c), want_scale),
+        (x.map_basis(lambda b: b // 2), want_map),
+        (x.apply_linear(image), want_linear),
+        (bilinear_extend(pair)(x, y), want_bilinear),
+    ):
+        assert got._terms == want
+        assert_canonical(got)

@@ -307,3 +307,40 @@ def test_abelian_group_structure_tree_product_associative():
                 assert alg.product(p12, term(t3)) == alg.product(
                     term(t1), alg.product(term(t2), term(t3))
                 )
+
+
+# -- integral coefficients and interned result trees -----------------------------
+
+
+def small_pool():
+    gens = [corolla(("x",)), corolla(("y",)), corolla(("x", "y"))]
+    return [unit()] + gens + [graft(w, t) for t in gens for w in (0, 1)]
+
+
+def test_products_at_two_thirds_keep_integral_coefficients_int():
+    alg = TreeAlgebra(family_structure(Fraction(2, 3)))
+    pool = small_pool()
+    kinds = set()
+    for a in pool:
+        for b in pool:
+            for c in (1, Fraction(3, 2)):
+                out = alg.product(term(a).scale(c), term(b) + term(b).scale(Fraction(1, 3)))
+                for v in out._terms.values():
+                    assert (type(v) is int) == (v.denominator == 1)
+                    kinds.add(type(v))
+    assert kinds == {int, Fraction}
+
+
+def test_memo_result_trees_are_one_object_per_tree():
+    alg = TreeAlgebra(family_structure(Fraction(2, 3)))
+    pool = small_pool()
+    for a in pool:
+        for b in pool:
+            alg.product(alg.product(term(a), term(b)), term(a))
+    seen = {}
+    results = 0
+    for res in alg._cache.values():
+        for t in res._terms:
+            results += 1
+            assert seen.setdefault(t, t) is t
+    assert results > len(seen)

@@ -287,3 +287,17 @@ def test_word_expressions_round_trip():
     assert parse_word_expr(text, A, s.labels, W) == value
     direct = parse_word_expr("x [a] 1 [b] x", A, s.labels)
     assert direct == fs(TypedWord((1, 0, 1), (0, 1)))
+
+
+def test_word_products_at_two_thirds_keep_integral_coefficients_int():
+    ua = truncated_poly()
+    W = WordAlgebra(family_structure(Fraction(2, 3)), ua)
+    pool = all_words(2, 2, 3)
+    kinds = set()
+    for a in pool:
+        for b in pool[:12]:
+            out = W.product(FormalSum.term(a, Fraction(3, 2)), FormalSum.term(b))
+            for v in out._terms.values():
+                assert (type(v) is int) == (v.denominator == 1)
+                kinds.add(type(v))
+    assert kinds == {int, Fraction}

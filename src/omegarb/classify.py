@@ -269,6 +269,9 @@ def enumerate_level(level: str, n: int = 2, workers: int | None = None) -> Enume
     """
     if level not in LEVEL_FIELDS:
         raise StructureError(f"unknown enumeration level {level!r}")
+    if n not in (1, 2):
+        # n = 3 alone would build 387M prefix tuples before any check runs
+        raise StructureError(f"enumeration is supported for sizes 1 and 2, not {n}")
     if workers is None:
         workers = int(os.environ.get("OMEGARB_WORKERS", "1"))
     tabs = all_op_rows(n)

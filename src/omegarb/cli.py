@@ -15,6 +15,7 @@ parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -186,7 +187,9 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parse_args keeps no state)."""
     parser = argparse.ArgumentParser(
         prog="omegarb",
         description="parameter structures, free tree/word algebras, and 2-element classification",

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .scalars import FormalSum, parse_scalar
+from .scalars import FormalSum, accumulate, parse_scalar
 
 __all__ = [
     "OpTable",
@@ -557,8 +557,14 @@ def check_ets(s: OmegaStructure) -> AxiomReport:
 # ---------------------------------------------------------------------------
 # Map-level checkers (tensor formulation)
 
-# A pipeline step is ("phi", main, side, pos), ("tau", pos) or ("psi", pos);
-# pipelines list steps in application order (innermost map first).
+# A pipeline step is (kind, pos): kind is "phi_l", "phi_r", "phi_s", "tau" or
+# "psi", acting on the tensor factors pos and pos + 1; pipelines list steps in
+# application order (innermost map first).  Each side of an identity is
+# evaluated on every basis triple.  The step tables are read once per
+# structure (_step_tables).  The set maps (phi_*, tau) send a basis tuple to
+# one basis tuple, so the image is carried as a bare tuple until the first
+# psi step and as a canonical coefficient dict after it (_run_pipeline); the
+# two sides are compared as dicts, exactly.
 
 _MAPS_EDS_PIPELINES = (
     ("eds1", (("phi_r", 0), ("tau", 0), ("phi_l", 1), ("tau", 0)),
@@ -633,43 +639,70 @@ ETS_MAP_TO_POINTWISE_TAGS = {
 }
 
 
-def _run_pipeline(s: OmegaStructure, steps, triple) -> FormalSum:
-    cur = FormalSum.term(triple)
-    for step in steps:
-        kind, pos = step[0], step[-1]
-        if kind == "tau":
-            cur = cur.map_basis(
-                lambda t, p=pos: t[:p] + (t[p + 1], t[p]) + t[p + 2:]
+def _step_tables(s: OmegaStructure, kinds) -> dict:
+    """The table of each step kind in ``kinds``, read once per structure.
+
+    A ``phi_*`` table holds the pair (main, side) at [i][j]; the ``psi``
+    table holds the canonical (basis, coefficient) items of psi_map(i, j).
+    """
+    rng = range(s.size)
+    pairs = {"phi_l": (s.left, s.lhd), "phi_r": (s.right, s.rhd), "phi_s": (s.dot, s.star)}
+    out = {}
+    for kind in kinds:
+        if kind == "psi":
+            out[kind] = tuple(
+                tuple(tuple(s.psi_map(i, j)._terms.items()) for j in rng) for i in rng
             )
+        elif kind in pairs:
+            main, side = (t.rows for t in pairs[kind])
+            out[kind] = tuple(tuple(zip(m_row, s_row)) for m_row, s_row in zip(main, side))
+    return out
+
+
+def _run_pipeline(steps, t) -> dict:
+    """The image of the basis tuple ``t`` as a canonical coefficient dict.
+
+    ``steps`` holds (kind, pos, table) triples. Up to the first ``psi`` step
+    the image is one basis tuple with coefficient 1 and is carried bare.
+    """
+    acc = None
+    for kind, p, table in steps:
+        if acc is None:
+            if kind == "tau":
+                t = t[:p] + (t[p + 1], t[p]) + t[p + 2:]
+            elif kind == "psi":
+                head, tail = t[:p], t[p + 2:]
+                acc = {head + (b,) + tail: c for b, c in table[t[p]][t[p + 1]]}
+            else:
+                t = t[:p] + table[t[p]][t[p + 1]] + t[p + 2:]
+        elif kind == "tau":
+            # a bijection of basis tuples: keys never merge
+            acc = {k[:p] + (k[p + 1], k[p]) + k[p + 2:]: c for k, c in acc.items()}
         elif kind == "psi":
-            def contract(t, p=pos):
-                image = s.psi_map(t[p], t[p + 1])
-                return image.map_basis(lambda b: t[:p] + (b,) + t[p + 2:])
-            cur = cur.apply_linear(contract)
+            out: dict = {}
+            for k, c in acc.items():
+                head, tail = k[:p], k[p + 2:]
+                accumulate(out, ((head + (b,) + tail, d) for b, d in table[k[p]][k[p + 1]]), c)
+            acc = out
         else:
-            if kind == "phi_l":
-                main, side = s.left.rows, s.lhd.rows
-            elif kind == "phi_r":
-                main, side = s.right.rows, s.rhd.rows
-            else:  # phi_s
-                main, side = s.dot.rows, s.star.rows
-            cur = cur.map_basis(
-                lambda t, p=pos, m=main, sd=side: t[:p]
-                + (m[t[p]][t[p + 1]], sd[t[p]][t[p + 1]])
-                + t[p + 2:]
+            acc = accumulate(
+                {}, ((k[:p] + table[k[p]][k[p + 1]] + k[p + 2:], c) for k, c in acc.items())
             )
-    return cur
+    return {t: 1} if acc is None else acc
 
 
 def _check_pipelines(s: OmegaStructure, pipelines, level: str) -> AxiomReport:
     col = _Collector()
     rng = range(s.size)
+    tables = _step_tables(s, {kind for _, lhs, rhs in pipelines for kind, _ in lhs + rhs})
     for tag, lhs, rhs in pipelines:
+        lhs = tuple((kind, pos, tables.get(kind)) for kind, pos in lhs)
+        rhs = tuple((kind, pos, tables.get(kind)) for kind, pos in rhs)
         for i in rng:
             for j in rng:
                 for k in rng:
                     t = (i, j, k)
-                    if _run_pipeline(s, lhs, t) != _run_pipeline(s, rhs, t):
+                    if _run_pipeline(lhs, t) != _run_pipeline(rhs, t):
                         col.hit(tag, t)
     return col.report(level, tuple(p[0] for p in pipelines))
 
@@ -920,6 +953,8 @@ def _parse_tokens(tokens, pos):
             if _token_at(tokens, pos) != ":":
                 raise StructureError("expected ':' in formal-sum literal")
             val, pos = _parse_tokens(tokens, pos + 1)
+            if key in out:
+                raise StructureError(f"duplicate key {key} in formal-sum literal")
             out[key] = val
             if _token_at(tokens, pos) == ",":
                 pos += 1
@@ -971,6 +1006,19 @@ def _as_scalar(value, what) -> Fraction:
     if not isinstance(value, Fraction):
         raise StructureError(f"{what} must be a scalar, got {_describe(value)}")
     return value
+
+
+_FLAG_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _as_flag(text: str, what) -> bool:
+    """A boolean field: true/yes/1 or false/no/0, in any case."""
+    try:
+        return _FLAG_WORDS[text.strip().lower()]
+    except KeyError:
+        raise StructureError(
+            f"{what} must be one of true, false, yes, no, 1, 0; got {text.strip()!r}"
+        ) from None
 
 
 def _as_int_table(value, what):
@@ -1030,7 +1078,7 @@ def parse_structure(text: str) -> OmegaStructure:
         psi = tuple(map(tuple, _as_matrix(raw, "psi", lambda v: _as_sum_cell(v, "psi"))))
     weight_zero = False
     if "weight_zero" in fields:
-        weight_zero = fields.pop("weight_zero")[1].lower() in ("1", "true", "yes")
+        weight_zero = _as_flag(fields.pop("weight_zero")[1], "weight_zero")
     if fields:
         key = next(iter(fields))
         raise StructureError(f"line {fields[key][0]}: unknown key {key!r}")

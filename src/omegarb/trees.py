@@ -218,11 +218,10 @@ class TreeAlgebra:
             raise StructureError("target algebra is over a different parameter structure")
         if isinstance(x, Tree):
             return self._eval_tree(x, f, target)
-        out = None
-        for t, c in x:
-            val = self._eval_tree(t, f, target).scale(c)
-            out = val if out is None else out + val
-        return out if out is not None else target.zero()
+        out: dict = {}
+        for t, c in x._terms.items():
+            accumulate(out, self._eval_tree(t, f, target)._terms.items(), c)
+        return FormalSum._raw(out)
 
     def _eval_tree(self, t: Tree, f, target):
         factors = []

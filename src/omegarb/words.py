@@ -311,7 +311,7 @@ def word_evaluate(x: FormalSum | TypedWord, f, R, algebra: FiniteAlgebra):
 def parse_algebra(text: str) -> FiniteAlgebra:
     """Parse the algebra format: ``basis``, ``unit``, ``commutative``,
     ``mult`` entries (key = value, ';' or newline separated)."""
-    from .omega import _as_matrix, _as_sum_cell, _parse_value  # shared literal parser
+    from .omega import _as_flag, _as_matrix, _as_sum_cell, _parse_value  # shared literal parser
 
     fields = {}
     for chunk in text.replace(";", "\n").splitlines():
@@ -343,7 +343,7 @@ def parse_algebra(text: str) -> FiniteAlgebra:
                 raise StructureError(f"unit {raw!r} is neither a basis label nor an index")
     commutative = False
     if "commutative" in fields:
-        commutative = fields.pop("commutative").strip().lower() in ("1", "true", "yes")
+        commutative = _as_flag(fields.pop("commutative"), "commutative")
     raw_mult = _parse_value(fields.pop("mult"))
     if fields:
         raise StructureError(f"unknown keys {sorted(fields)}")

@@ -175,6 +175,8 @@ TABLES = "size = 2\nleft = [[0,0],[0,1]]\nright = [[0,0],[0,1]]\nlhd = [[0,0],[0
     (TABLES + "psi = [[{0:1},{3/2:1}],[{0:1},{1:1}]]\n", "psi key must be an integer"),
     (TABLES.replace("left = [[0,0],[0,1]]", "left = [[1/2,0],[0,1]]"), "not an integer"),
     (TABLES.replace("size = 2", "size = two"), "size"),
+    (TABLES + "psi = [[{0:1,0:2},{0:1}],[{0:1},{1:1}]]\n", "duplicate key 0"),
+    (TABLES + "weight_zero = ture\n", "weight_zero must be one of"),
 ])
 def test_malformed_structure_is_a_usage_error(tmp_path, capsys, text, message):
     with pytest.raises(StructureError, match=message):
@@ -184,6 +186,57 @@ def test_malformed_structure_is_a_usage_error(tmp_path, capsys, text, message):
     assert main(["check", str(path), "--level", "maps"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("text, message", [
+    (ALGEBRA.replace("[{1:1},{}]", "[{1:1,1:2},{}]"), "duplicate key 1"),
+    (ALGEBRA.replace("commutative = true", "commutative = ture"), "commutative must be one of"),
+])
+def test_malformed_algebra_is_a_usage_error(family_file, tmp_path, capsys, text, message):
+    path = tmp_path / "bad_algebra.txt"
+    path.write_text(text)
+    assert main(["words", "--omega", family_file, "--algebra", str(path),
+                 "--expr", "x [a] 1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_parser_is_built_once_and_keeps_no_state(family_file, capsys):
+    from omegarb.cli import build_parser
+
+    assert build_parser() is build_parser()
+    expr = "([a](|)) * ([b](|))"
+    assert main(["product", "--omega", family_file, "--weight-zero", "--expr", expr]) == 0
+    weight_zero = capsys.readouterr().out.strip()
+    assert main(["product", "--omega", family_file, "--expr", expr]) == 0
+    full = capsys.readouterr().out.strip()
+    assert weight_zero == "([b]([a](|))) + ([b]([b](|)))"
+    assert full.count("+") == 2  # the weight term is back
+    args = build_parser().parse_args(["product", "--omega", family_file, "--expr", expr])
+    assert args.weight_zero is False
+    with pytest.raises(SystemExit) as exc:
+        main(["product", "--omega", family_file, "--no-such-flag"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["check", family_file, "--level", "nope"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("size", ["3", "4", "0", "-1"])
+def test_enumerate_refuses_unsupported_sizes(monkeypatch, capsys, size):
+    from omegarb import classify
+
+    real = classify.all_op_rows
+
+    def guarded(n):
+        if n >= 3:
+            raise AssertionError(f"all_op_rows({n}) must never be built")
+        return real(n)
+
+    monkeypatch.setattr(classify, "all_op_rows", guarded)
+    assert main(["enumerate", "--level", "diassoc", "--size", size]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "sizes 1 and 2" in err and len(err.splitlines()) == 1
 
 
 def _mutations(valid):

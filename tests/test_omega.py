@@ -1,8 +1,11 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from omegarb import omega as om
+from omegarb.classify import enumerate_level
 from omegarb.omega import (
     OmegaStructure,
     OpTable,
@@ -31,6 +34,12 @@ XOR = op("abba")
 CONST_A = op("aaaa")
 FIRST = op("aabb")
 SECOND = op("abab")
+
+
+TABLES_TEXT = (
+    "size = 2\nleft = [[0,0],[0,1]]\nright = [[0,0],[0,1]]\n"
+    "lhd = [[0,0],[0,0]]\nrhd = [[0,0],[0,0]]\n"
+)
 
 
 def struct(left, right, lhd, rhd, dot=None, star=None, lam=None, psi=None, **kw):
@@ -202,6 +211,139 @@ def test_ets_maps_equivalence_on_fixtures():
         assert check_ets_maps_level(s).ok, name
 
 
+# -- map-level engine against a FormalSum reference ----------------------------
+
+
+def reference_pipeline(s, steps, triple):
+    """One pipeline side through FormalSum.map_basis / apply_linear, step by step."""
+    tables = {"phi_l": (s.left, s.lhd), "phi_r": (s.right, s.rhd), "phi_s": (s.dot, s.star)}
+    cur = FormalSum.term(triple)
+    for kind, pos in steps:
+        if kind == "tau":
+            cur = cur.map_basis(lambda t, p=pos: t[:p] + (t[p + 1], t[p]) + t[p + 2:])
+        elif kind == "psi":
+            def contract(t, p=pos):
+                image = s.psi_map(t[p], t[p + 1])
+                return image.map_basis(lambda b: t[:p] + (b,) + t[p + 2:])
+            cur = cur.apply_linear(contract)
+        else:
+            main, side = (table.rows for table in tables[kind])
+            cur = cur.map_basis(
+                lambda t, p=pos, m=main, sd=side: t[:p]
+                + (m[t[p]][t[p + 1]], sd[t[p]][t[p + 1]])
+                + t[p + 2:]
+            )
+    return cur
+
+
+def reference_report(s, pipelines):
+    """(tag, first witness, count) per violated identity, in pipeline order."""
+    out = []
+    rng = range(s.size)
+    for tag, lhs, rhs in pipelines:
+        hits = [
+            (i, j, k)
+            for i in rng for j in rng for k in rng
+            if reference_pipeline(s, lhs, (i, j, k)) != reference_pipeline(s, rhs, (i, j, k))
+        ]
+        if hits:
+            out.append((tag, hits[0], len(hits)))
+    return out
+
+
+MAPS_PIPELINES = om._MAPS_EDS_PIPELINES + om._MAPS_PSI_PIPELINES
+ETS_MAPS_PIPELINES = om._MAPS_EDS_PIPELINES + om._MAPS_STAR_PIPELINES
+ALL_TABLES = [OpTable(((a, b), (c, d))) for a in (0, 1) for b in (0, 1) for c in (0, 1)
+              for d in (0, 1)]
+SAMPLE_SCALARS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2, 3))
+
+
+def assert_same_report(rep, level, expected):
+    assert rep.level == level
+    assert [(v.tag, v.witness, v.count) for v in rep.violations] == expected
+
+
+def random_eds_tables(rng, eds_reps):
+    # half EDS representatives (mostly passing), half arbitrary tables
+    if rng.random() < 0.5:
+        rows = eds_reps[rng.randrange(len(eds_reps))]
+        return dict(zip(("left", "right", "lhd", "rhd"), map(OpTable, rows)))
+    return {name: rng.choice(ALL_TABLES) for name in ("left", "right", "lhd", "rhd")}
+
+
+@pytest.fixture(scope="module")
+def eds_reps():
+    return enumerate_level("eds", 2).reps
+
+
+def test_maps_engine_matches_reference_on_strict_structures(eds_reps):
+    rng = random.Random(2024)
+    for _ in range(120):
+        lam = tuple(tuple(rng.choice(SAMPLE_SCALARS) for _ in range(2)) for _ in range(2))
+        s = OmegaStructure(size=2, labels=("a", "b"), dot=rng.choice(ALL_TABLES), lam=lam,
+                           **random_eds_tables(rng, eds_reps))
+        assert_same_report(check_maps_level(s), "maps", reference_report(s, MAPS_PIPELINES))
+    for s in (replace(struct("aaaa", "aaaa", "abab", "aabb"), weight_zero=True),
+              example_matching([1, Fraction(-2, 3)]), example_abelian_group(XOR, 2)):
+        assert_same_report(check_maps_level(s), "maps", reference_report(s, MAPS_PIPELINES))
+
+
+def test_maps_engine_matches_reference_on_psi_structures(eds_reps):
+    rng = random.Random(77)
+    coeffs = SAMPLE_SCALARS + (Fraction(-1, 2), Fraction(2))
+    for _ in range(120):
+        psi = tuple(
+            tuple(FormalSum({0: rng.choice(coeffs), 1: rng.choice(coeffs)}) for _ in range(2))
+            for _ in range(2)
+        )
+        s = OmegaStructure(size=2, labels=("a", "b"), psi=psi,
+                           **random_eds_tables(rng, eds_reps))
+        assert_same_report(check_maps_level(s), "maps", reference_report(s, MAPS_PIPELINES))
+    for name in ("A1", "F1pp_lm", "F4"):
+        s = lets_row(name).instantiate(Fraction(1, 2), Fraction(-2, 3))
+        assert_same_report(check_maps_level(s), "maps", reference_report(s, MAPS_PIPELINES))
+
+
+def test_maps_engine_cancels_to_zero_exactly():
+    # psi(x, y) = a/2 - b/2 for every pair: psi(psi x id) and psi(id x psi)
+    # both cancel to zero, so equ6 holds with empty sides
+    half = FormalSum({0: Fraction(1, 2), 1: Fraction(-1, 2)})
+    psi = ((half, half), (half, half))
+    s = struct("aabb", "abab", "abab", "aabb", psi=psi)
+    _, lhs, rhs = om._MAPS_PSI_PIPELINES[-1]
+    tables = om._step_tables(s, {"psi"})
+    for t in ((0, 0, 0), (1, 0, 1), (1, 1, 1)):
+        for side in (lhs, rhs):
+            assert om._run_pipeline(tuple((k, p, tables[k]) for k, p in side), t) == {}
+            assert reference_pipeline(s, side, t).is_zero()
+    rep = check_maps_level(s)
+    assert "equ6" not in rep.failed_tags()
+    assert_same_report(rep, "maps", reference_report(s, MAPS_PIPELINES))
+    # every coefficient the engine produces is exact, and an int when integral
+    mixed = FormalSum({0: Fraction(3, 2), 1: Fraction(3, 2)})
+    s2 = struct("aabb", "abab", "abab", "aabb", psi=((mixed, half), (half, mixed)))
+    psi2 = om._step_tables(s2, {"psi"})["psi"]
+    image = om._run_pipeline((("psi", 1, psi2), ("psi", 0, psi2)), (0, 0, 0))
+    assert image == reference_pipeline(s2, (("psi", 1), ("psi", 0)), (0, 0, 0))._terms
+    kinds = set()
+    for c in image.values():
+        assert (type(c) is int) == (c.denominator == 1)
+        kinds.add(type(c))
+    assert kinds == {int, Fraction}
+
+
+def test_ets_maps_engine_matches_reference_on_star_structures(eds_reps):
+    rng = random.Random(5)
+    for _ in range(150):
+        s = OmegaStructure(size=2, labels=("a", "b"), dot=rng.choice(ALL_TABLES),
+                           star=rng.choice(ALL_TABLES), **random_eds_tables(rng, eds_reps))
+        assert_same_report(check_ets_maps_level(s), "ets-maps",
+                           reference_report(s, ETS_MAPS_PIPELINES))
+    for _, s in ets_fixture_structures():
+        assert_same_report(check_ets_maps_level(s), "ets-maps",
+                           reference_report(s, ETS_MAPS_PIPELINES))
+
+
 # -- opposite and commutativity ---------------------------------------------
 
 
@@ -358,3 +500,23 @@ psi   = [[{0:1},{0:1}],[{0:1},{0:1,1:-1}]]
     s = parse_structure(text)
     assert s.psi[1][1] == FormalSum({0: Fraction(1), 1: Fraction(-1)})
     assert parse_structure(serialize_structure(s)) == s
+
+
+def test_structure_file_rejects_duplicate_formal_sum_keys():
+    text = TABLES_TEXT + "psi = [[{0:1,0:2},{0:1}],[{0:1},{1:1}]]\n"
+    with pytest.raises(StructureError, match="duplicate key 0"):
+        parse_structure(text)
+
+
+@pytest.mark.parametrize("word, value", [
+    ("true", True), ("TRUE", True), ("Yes", True), ("1", True),
+    ("false", False), ("No", False), ("0", False), ("FALSE", False),
+])
+def test_weight_zero_flag_words(word, value):
+    assert parse_structure(TABLES_TEXT + f"weight_zero = {word}\n").weight_zero is value
+
+
+@pytest.mark.parametrize("word", ["ture", "", "2", "on", "truee"])
+def test_weight_zero_flag_rejects_other_text(word):
+    with pytest.raises(StructureError, match="weight_zero must be one of"):
+        parse_structure(TABLES_TEXT + f"weight_zero = {word}\n")

@@ -301,3 +301,23 @@ def test_word_products_at_two_thirds_keep_integral_coefficients_int():
                 assert (type(v) is int) == (v.denominator == 1)
                 kinds.add(type(v))
     assert kinds == {int, Fraction}
+
+
+def test_parse_algebra_rejects_duplicate_mult_keys():
+    with pytest.raises(StructureError, match="duplicate key 0"):
+        parse_algebra("basis = [1, x]; unit = 1; mult = [[{0:1,0:1},{1:1}],[{1:1},{}]]")
+
+
+@pytest.mark.parametrize("word, value", [("TRUE", True), ("yes", True), ("1", True),
+                                         ("false", False), ("No", False), ("0", False)])
+def test_parse_algebra_commutative_flag_words(word, value):
+    a = parse_algebra(f"basis = [1, x]; unit = 1; commutative = {word}; "
+                      "mult = [[{0:1},{1:1}],[{1:1},{}]]")
+    assert a.commutative is value
+
+
+@pytest.mark.parametrize("word", ["ture", "2", "off", ""])
+def test_parse_algebra_commutative_flag_rejects_other_text(word):
+    with pytest.raises(StructureError, match="commutative must be one of"):
+        parse_algebra(f"basis = [1, x]; unit = 1; commutative = {word}; "
+                      "mult = [[{0:1},{1:1}],[{1:1},{}]]")

@@ -139,7 +139,9 @@ class OmegaStructure:
 
     Weight data is either strict (``dot`` + ``lam``), generalized (``psi``
     alone), or absent; ``weight_zero`` marks the weight-0 mode in which the
-    weight term of every product vanishes without materializing a table.
+    weight term of every product and every checker vanishes without
+    materializing a table, whatever weight data is also present.  A structure
+    file may not set both ``psi`` and ``weight_zero``.
     ``star`` is only used by the ETS-level checkers.
     """
 
@@ -197,11 +199,12 @@ class OmegaStructure:
         return self.lam[i][j]
 
     def psi_map(self, i: int, j: int) -> FormalSum:
-        """The weight map on basis pairs: strict lam[i][j]*(i.j), or psi[i][j]."""
-        if self.psi is not None:
-            return self.psi[i][j]
+        """The weight map on basis pairs: zero in weight-0 mode, else strict
+        lam[i][j]*(i.j), or psi[i][j]."""
         if self.weight_zero:
             return FormalSum.zero()
+        if self.psi is not None:
+            return self.psi[i][j]
         if self.has_strict_weight:
             return FormalSum.term(self.dot(i, j), self.lam[i][j])
         raise StructureError("structure has no weight data")
@@ -422,7 +425,7 @@ def check_lambda_ets(s: OmegaStructure) -> AxiomReport:
     unconditional weight equality holds there with a nonzero common value;
     when the equality itself fails only that violation is recorded.
     """
-    if s.psi is not None:
+    if s.psi is not None and not s.weight_zero:
         raise StructureError(
             "not a strict lambda-ETS: structure carries a generalized psi map; "
             "use the map-level checker"
@@ -1078,7 +1081,10 @@ def parse_structure(text: str) -> OmegaStructure:
         psi = tuple(map(tuple, _as_matrix(raw, "psi", lambda v: _as_sum_cell(v, "psi"))))
     weight_zero = False
     if "weight_zero" in fields:
-        weight_zero = _as_flag(fields.pop("weight_zero")[1], "weight_zero")
+        lineno, text = fields.pop("weight_zero")
+        weight_zero = _as_flag(text, "weight_zero")
+        if weight_zero and psi is not None:
+            raise StructureError(f"line {lineno}: 'psi' and 'weight_zero = true' are exclusive")
     if fields:
         key = next(iter(fields))
         raise StructureError(f"line {fields[key][0]}: unknown key {key!r}")

@@ -16,6 +16,19 @@ non-leaf member; when both are internal edges with types a, b the boundary
 pair expands to the three grafted terms typed (a->b, a|>b), (a<-b, a<|b)
 and weight * (a.b) before merging, recursing on the subtrees.  Grafting on
 a new root realizes the Rota-Baxter operator family.
+
+The product is memoized on basis pairs, and each memo entry is built in one
+pass: ``diamond_basis`` fetches the two or three memoized sums R of the
+recursion and adds every final tree, the left head, the edge typed w over a
+term of R, then the right tail, interned, straight into one coefficient dict.
+No intermediate formal sum is made.  ``product`` of two single terms whose
+coefficients multiply to 1 returns the memo's sum itself; formal sums are
+immutable, so callers cannot change it.
+
+The expression parser refuses a tree deeper than ``MAX_TREE_DEPTH`` levels
+with :class:`ExprError`, so products and ``evaluate`` on parsed input stay
+inside the default recursion limit.  ``depth`` and ``leaf_count`` are
+iterative and take trees of any depth.
 """
 
 from __future__ import annotations
@@ -40,6 +53,7 @@ __all__ = [
     "tree_to_str",
     "sum_to_str",
     "parse_tree_expr",
+    "MAX_TREE_DEPTH",
 ]
 
 
@@ -108,10 +122,17 @@ def graft(omega: int, t: Tree | FormalSum):
 
 
 def depth(t: Tree) -> int:
-    if t._depth is None:
-        t._depth = 1 + max(
-            (depth(c[1]) for c in t.children if c is not None), default=0
-        )
+    """Vertices on a longest root-to-leaf path; iterative, so any depth works."""
+    stack = [t]
+    while t._depth is None:
+        node = stack[-1]
+        subs = [c[1] for c in node.children if c is not None]
+        pending = [sub for sub in subs if sub._depth is None]
+        if pending:
+            stack.extend(pending)
+        else:
+            node._depth = 1 + max((sub._depth for sub in subs), default=0)
+            stack.pop()
     return t._depth
 
 
@@ -120,7 +141,15 @@ def branches(t: Tree) -> int:
 
 
 def leaf_count(t: Tree) -> int:
-    return sum(1 if c is None else leaf_count(c[1]) for c in t.children)
+    count = 0
+    stack = [t]
+    while stack:
+        for c in stack.pop().children:
+            if c is None:
+                count += 1
+            else:
+                stack.append(c[1])
+    return count
 
 
 class TreeAlgebra:
@@ -162,9 +191,17 @@ class TreeAlgebra:
             u = FormalSum.term(u)
         if isinstance(v, Tree):
             v = FormalSum.term(v)
+        ut = u._terms
+        vt = v._terms
+        if len(ut) == 1 == len(vt):
+            # one basis pair with coefficient 1: the memo's (immutable) sum
+            ((t1, c1),) = ut.items()
+            ((t2, c2),) = vt.items()
+            if c1 * c2 == 1:
+                return self.diamond_basis(t1, t2)
         acc: dict = {}
-        for t1, c1 in u._terms.items():
-            for t2, c2 in v._terms.items():
+        for t1, c1 in ut.items():
+            for t2, c2 in vt.items():
                 accumulate(acc, self.diamond_basis(t1, t2)._terms.items(), c1 * c2)
         return FormalSum._raw(acc)
 
@@ -187,24 +224,24 @@ class TreeAlgebra:
             a, left_sub = last
             b, right_sub = first
             om = self.omega
-            mid = graft(
-                om.right(a, b),
-                self.diamond_basis(graft(om.rhd(a, b), left_sub), right_sub),
-            ) + graft(
-                om.left(a, b),
-                self.diamond_basis(left_sub, graft(om.lhd(a, b), right_sub)),
-            )
+            diamond = self.diamond_basis
+            # (edge type w, memoized sum R of subtrees below it, coefficient)
+            parts = [
+                (om.right(a, b), diamond(graft(om.rhd(a, b), left_sub), right_sub), 1),
+                (om.left(a, b), diamond(left_sub, graft(om.lhd(a, b), right_sub)), 1),
+            ]
             if not om.weight_zero:
                 coeff = om.lam_at(a, b)
                 if coeff:
-                    mid = mid + graft(
-                        om.dot(a, b), self.diamond_basis(left_sub, right_sub)
-                    ).scale(coeff)
-            def join(r):
-                tree = Tree(head + (r.children[0],) + tail, angles)
-                return intern(tree, tree)
-
-            res = mid.map_basis(join)
+                    parts.append((om.dot(a, b), diamond(left_sub, right_sub), coeff))
+            acc: dict = {}
+            for w, sub_sum, coeff in parts:
+                joined = (
+                    (Tree(head + ((w, sub),) + tail, angles), c)
+                    for sub, c in sub_sum._terms.items()
+                )
+                accumulate(acc, joined, coeff)
+            res = FormalSum._raw({intern(tree, tree): c for tree, c in acc.items()})
         self._cache[key] = res
         return res
 
@@ -217,18 +254,18 @@ class TreeAlgebra:
         if target.omega != self.omega:
             raise StructureError("target algebra is over a different parameter structure")
         if isinstance(x, Tree):
-            return self._eval_tree(x, f, target)
+            return self._evalTree(x, f, target)
         out: dict = {}
         for t, c in x._terms.items():
-            accumulate(out, self._eval_tree(t, f, target)._terms.items(), c)
+            accumulate(out, self._evalTree(t, f, target)._terms.items(), c)
         return FormalSum._raw(out)
 
-    def _eval_tree(self, t: Tree, f, target):
+    def _evalTree(self, t: Tree, f, target):
         factors = []
         for i, child in enumerate(t.children):
             if child is not None:
                 w, sub = child
-                factors.append(target.p_op(w, self._eval_tree(sub, f, target)))
+                factors.append(target.p_op(w, self._evalTree(sub, f, target)))
             if i < len(t.angles):
                 label = t.angles[i]
                 if label not in f:
@@ -390,6 +427,12 @@ def sum_to_str(s: FormalSum, type_labels) -> str:
     return out
 
 
+# The deepest tree an expression may spell out.  Parsing, the product of two
+# such trees and evaluate on one recurse a few frames per level, so at this
+# bound they stay well inside CPython's default recursion limit of 1000.
+MAX_TREE_DEPTH = 100
+
+
 class ExprError(ValueError):
     """Syntax or name error in a tree/word expression, with position."""
 
@@ -455,6 +498,7 @@ class _TreeExprParser:
     def __init__(self, text, type_labels, algebra=None):
         self.tokens = _tokenize_expr(text)
         self.pos = 0
+        self.depth = 0
         self.type_index = {lab: i for i, lab in enumerate(type_labels)}
         self.algebra = algebra
 
@@ -516,22 +560,25 @@ class _TreeExprParser:
         return self.algebra.product(a, b)
 
     def atom(self):
+        negate = False
+        while self.peek()[0] == "-":
+            self.take()
+            negate = not negate
         tok = self.peek()
         if tok[0] == "num":
             self.take()
-            return Fraction(tok[1])
-        if tok[0] == "-":
-            self.take()
-            inner = self.atom()
-            if isinstance(inner, Fraction):
-                return -inner
-            return -inner
-        if tok[0] == "(":
-            return FormalSum.term(self.tree())
-        raise ExprError(f"expected a scalar or '(', found {tok[1]!r}", tok[2])
+            value = Fraction(tok[1])
+        elif tok[0] == "(":
+            value = FormalSum.term(self.tree())
+        else:
+            raise ExprError(f"expected a scalar or '(', found {tok[1]!r}", tok[2])
+        return -value if negate else value
 
     def tree(self) -> Tree:
-        self.take("(")
+        tok = self.take("(")
+        self.depth += 1
+        if self.depth > MAX_TREE_DEPTH:
+            raise ExprError(f"tree deeper than {MAX_TREE_DEPTH} levels", tok[2])
         children = [self.child()]
         angles = []
         while self.peek()[0] != ")":
@@ -539,6 +586,7 @@ class _TreeExprParser:
             angles.append(name[1])
             children.append(self.child())
         self.take(")")
+        self.depth -= 1
         return Tree(tuple(children), tuple(angles))
 
     def child(self):

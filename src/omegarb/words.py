@@ -18,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .omega import OmegaStructure, StructureError
-from .scalars import FormalSum, accumulate, parse_scalar
+from .scalars import FormalSum, accumulate
+from .trees import MAX_TREE_DEPTH, ExprError, _tokenize_expr
 
 __all__ = [
     "FiniteAlgebra",
@@ -34,7 +35,13 @@ __all__ = [
     "parse_word_expr",
     "word_to_str",
     "word_sum_to_str",
+    "MAX_WORD_LENGTH",
 ]
+
+# The longest word an expression may spell out, in letters.  The product of
+# two such words recurses once per letter of either factor, so at this bound
+# it stays well inside CPython's default recursion limit of 1000.
+MAX_WORD_LENGTH = 200
 
 
 class FiniteAlgebra:
@@ -131,6 +138,15 @@ class TypedWord:
         return f"TypedWord(entries={self.entries}, types={self.types})"
 
 
+def _word(entries: tuple, types: tuple, _new=object.__new__) -> TypedWord:
+    # internal: a TypedWord from tuples already known to fit together
+    w = _new(TypedWord)
+    w.entries = entries
+    w.types = types
+    w._hash = hash((entries, types))
+    return w
+
+
 def word_length(w: TypedWord) -> int:
     return len(w.entries)
 
@@ -172,7 +188,18 @@ def sum_in_sh_prime(s: FormalSum, ua: FiniteAlgebra) -> bool:
 
 
 class WordAlgebra:
-    """Typed words over a unital algebra, with the inductive product."""
+    """Typed words over a unital algebra, with the inductive product.
+
+    The product is the mixable shuffle, memoized on basis pairs.  For two
+    words a0 (x)_al ta and b0 (x)_be tb it is the sum over the terms k of
+    a0*b0 of k (x)_w R, for the three (w, R) pairs (al->be, P_{al|>be}(ta)*tb),
+    (al<-be, ta*P_{al<|be}(tb)) and (al.be, lambda*(ta*tb)).  ``diamond_basis``
+    builds each memo entry in one pass: it fetches the memoized sums R, with
+    P_w(ta) spelt as the prefixed word itself, and adds every final word
+    k (x)_w r straight into one coefficient dict.  ``product`` of two single
+    terms whose coefficients multiply to 1 returns the memo's sum itself;
+    formal sums are immutable, so callers cannot change it.
+    """
 
     def __init__(self, omega: OmegaStructure, algebra: FiniteAlgebra):
         if not omega.weight_zero and not omega.has_strict_weight:
@@ -211,25 +238,18 @@ class WordAlgebra:
             u = FormalSum.term(u)
         if isinstance(v, TypedWord):
             v = FormalSum.term(v)
+        ut = u._terms
+        vt = v._terms
+        if len(ut) == 1 == len(vt):
+            # one basis pair with coefficient 1: the memo's (immutable) sum
+            ((w1, c1),) = ut.items()
+            ((w2, c2),) = vt.items()
+            if c1 * c2 == 1:
+                return self.diamond_basis(w1, w2)
         acc: dict = {}
-        for w1, c1 in u._terms.items():
-            for w2, c2 in v._terms.items():
+        for w1, c1 in ut.items():
+            for w2, c2 in vt.items():
                 accumulate(acc, self.diamond_basis(w1, w2)._terms.items(), c1 * c2)
-        return FormalSum._raw(acc)
-
-    def _cons(self, head: FormalSum, ty: int, tail: FormalSum) -> FormalSum:
-        """The sum of k (x)_ty w over the terms k of head and w of tail."""
-        acc: dict = {}
-        tail_terms = tail._terms.items()
-        for k, ck in head._terms.items():
-            accumulate(
-                acc,
-                (
-                    (TypedWord((k,) + word.entries, (ty,) + word.types), cw)
-                    for word, cw in tail_terms
-                ),
-                ck,
-            )
         return FormalSum._raw(acc)
 
     def diamond_basis(self, a: TypedWord, b: TypedWord) -> FormalSum:
@@ -237,40 +257,43 @@ class WordAlgebra:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        head = self.algebra.product_basis(a.entries[0], b.entries[0])
-        m = len(a.types)
-        n = len(b.types)
-        if m == 0 and n == 0:
-            res = head.map_basis(lambda k: TypedWord((k,), ()))
-        elif n == 0:
-            res = self._cons(head, a.types[0], FormalSum.term(_tail(a)))
-        elif m == 0:
-            res = self._cons(head, b.types[0], FormalSum.term(_tail(b)))
+        head = self.algebra.product_basis(a.entries[0], b.entries[0])._terms.items()
+        if not a.types or not b.types:
+            # at most one factor goes on after its first letter
+            rest = a if a.types else b
+            entries, types = rest.entries[1:], rest.types
+            res = FormalSum._raw({_word((k,) + entries, types): ck for k, ck in head})
         else:
             om = self.omega
+            e = self.algebra.unit
             al, be = a.types[0], b.types[0]
             ta, tb = _tail(a), _tail(b)
-            res = self._cons(
-                head,
-                om.right(al, be),
-                self.product(self.p_op(om.rhd(al, be), ta), FormalSum.term(tb)),
-            ) + self._cons(
-                head,
-                om.left(al, be),
-                self.product(FormalSum.term(ta), self.p_op(om.lhd(al, be), tb)),
-            )
+            diamond = self.diamond_basis
+            rhd, lhd = om.rhd(al, be), om.lhd(al, be)
+            # (type w, memoized sum R of the words after it, coefficient)
+            parts = [
+                (om.right(al, be), diamond(_word((e,) + ta.entries, (rhd,) + ta.types), tb), 1),
+                (om.left(al, be), diamond(ta, _word((e,) + tb.entries, (lhd,) + tb.types)), 1),
+            ]
             if not om.weight_zero:
                 coeff = om.lam_at(al, be)
                 if coeff:
-                    res = res + self._cons(
-                        head, om.dot(al, be), self.diamond_basis(ta, tb)
-                    ).scale(coeff)
+                    parts.append((om.dot(al, be), diamond(ta, tb), coeff))
+            acc: dict = {}
+            for w, sub_sum, coeff in parts:
+                items = sub_sum._terms.items()
+                for k, ck in head:
+                    prefixed = (
+                        (_word((k,) + word.entries, (w,) + word.types), cw) for word, cw in items
+                    )
+                    accumulate(acc, prefixed, ck * coeff)
+            res = FormalSum._raw(acc)
         self._cache[key] = res
         return res
 
 
 def _tail(w: TypedWord) -> TypedWord:
-    return TypedWord(w.entries[1:], w.types[1:])
+    return _word(w.entries[1:], w.types[1:])
 
 
 def word_evaluate(x: FormalSum | TypedWord, f, R, algebra: FiniteAlgebra):
@@ -395,10 +418,9 @@ class _WordExprParser:
     atoms ``entry [type] entry [type] entry`` and optional '(...)' grouping."""
 
     def __init__(self, text, algebra: FiniteAlgebra, type_labels, word_algebra=None):
-        from .trees import _tokenize_expr
-
         self.tokens = _tokenize_expr(text)
         self.pos = 0
+        self.depth = 0
         self.algebra = algebra
         self.entry_index = {lab: i for i, lab in enumerate(algebra.labels)}
         self.type_index = {lab: i for i, lab in enumerate(type_labels)}
@@ -410,15 +432,11 @@ class _WordExprParser:
     def take(self, kind=None):
         tok = self.tokens[self.pos]
         if kind is not None and tok[0] != kind:
-            from .trees import ExprError
-
             raise ExprError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         self.pos += 1
         return tok
 
     def parse(self) -> FormalSum:
-        from .trees import ExprError
-
         value = self.expr()
         tok = self.peek()
         if tok[0] != "end":
@@ -430,8 +448,6 @@ class _WordExprParser:
         return value
 
     def expr(self):
-        from .trees import ExprError
-
         acc = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
@@ -442,8 +458,6 @@ class _WordExprParser:
         return acc
 
     def term(self):
-        from .trees import ExprError
-
         acc = self.atom()
         while self.peek()[0] == "*":
             self.take()
@@ -461,35 +475,38 @@ class _WordExprParser:
         return acc
 
     def atom(self):
-        from .trees import ExprError
-
+        negate = False
+        while self.peek()[0] == "-":
+            self.take()
+            negate = not negate
         tok = self.peek()
-        if tok[0] == "num":
+        if tok[0] == "num" and tok[1] not in self.entry_index:
             # numeric basis labels (the adjoined unit is labelled "1") win
             # over scalar literals; for a unital algebra the two readings of
             # an expression like "1 * w" agree anyway
-            if tok[1] in self.entry_index:
-                return FormalSum.term(self.word())
             self.take()
-            return Fraction(tok[1])
-        if tok[0] == "-":
+            value = Fraction(tok[1])
+        elif tok[0] in ("name", "num"):
+            value = FormalSum.term(self.word())
+        elif tok[0] == "(":
+            # groups nest no deeper than trees do in tree expressions
             self.take()
-            return -self.atom()
-        if tok[0] == "(":
-            self.take()
-            inner = self.expr()
+            self.depth += 1
+            if self.depth > MAX_TREE_DEPTH:
+                raise ExprError(f"groups nested deeper than {MAX_TREE_DEPTH} levels", tok[2])
+            value = self.expr()
             self.take(")")
-            return inner
-        if tok[0] == "name":
-            return FormalSum.term(self.word())
-        raise ExprError(f"expected a scalar, '(' or an entry label, found {tok[1]!r}", tok[2])
+            self.depth -= 1
+        else:
+            raise ExprError(f"expected a scalar, '(' or an entry label, found {tok[1]!r}", tok[2])
+        return -value if negate else value
 
     def word(self) -> TypedWord:
-        from .trees import ExprError
-
         entries = [self._entry()]
         types = []
         while self.peek()[0] == "[":
+            if len(entries) == MAX_WORD_LENGTH:
+                raise ExprError(f"word longer than {MAX_WORD_LENGTH} letters", self.peek()[2])
             self.take()
             name = self.take("name")
             if name[1] not in self.type_index:
@@ -500,8 +517,6 @@ class _WordExprParser:
         return TypedWord(tuple(entries), tuple(types))
 
     def _entry(self):
-        from .trees import ExprError
-
         tok = self.peek()
         if tok[0] not in ("name", "num"):
             raise ExprError(f"expected a basis label, found {tok[1]!r}", tok[2])

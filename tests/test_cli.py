@@ -6,8 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from omegarb.cli import main
 from omegarb.omega import StructureError, parse_structure, serialize_structure
-from omegarb.trees import ExprError, TreeAlgebra, parse_tree_expr
-from omegarb.words import WordAlgebra, parse_algebra, parse_word_expr
+from omegarb.trees import MAX_TREE_DEPTH, ExprError, TreeAlgebra, depth, parse_tree_expr
+from omegarb.words import (
+    MAX_WORD_LENGTH,
+    WordAlgebra,
+    parse_algebra,
+    parse_word_expr,
+    word_length,
+)
 from omegarb.tables import op
 from omegarb.omega import OmegaStructure
 
@@ -288,3 +294,117 @@ def test_fuzz_parse_word_expr(text):
     _returns_or_rejects(
         lambda t: parse_word_expr(t, POLY, FAMILY_STRUCTURE.labels, algebra), text
     )
+
+
+# -- over-deep input is refused up front ----------------------------------------
+
+
+def _ladder(levels, bottom="(|)"):
+    """A tree expression: ``levels - 1`` edges typed a above ``bottom``."""
+    return "([a]" * (levels - 1) + bottom + ")" * (levels - 1)
+
+
+def _long_word(letters):
+    return " [a] ".join(["x"] * letters)
+
+
+def _run_with_recursion_limit(limit, argv):
+    import sys
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        return main(argv)
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_tree_depth_limit(family_file, tmp_path, capsys):
+    labels = FAMILY_STRUCTURE.labels
+    ((tree, _),) = parse_tree_expr(_ladder(MAX_TREE_DEPTH), labels)
+    assert depth(tree) == MAX_TREE_DEPTH
+    with pytest.raises(ExprError, match=f"deeper than {MAX_TREE_DEPTH}"):
+        parse_tree_expr(_ladder(MAX_TREE_DEPTH + 1), labels)
+    # at the limit a product and evaluate run with room to spare below the
+    # default recursion limit of 1000
+    at = _ladder(MAX_TREE_DEPTH, "(| x |)") + " * ([b]([a](|)))"
+    assert _run_with_recursion_limit(600, ["product", "--omega", family_file, "--expr", at]) == 0
+    assert capsys.readouterr().out.count("+") > MAX_TREE_DEPTH
+    subst = tmp_path / "subst.txt"
+    subst.write_text("x = ([b](| y |))\n")
+    evaluate = ["evaluate", "--omega", family_file, "--subst", str(subst), "--expr"]
+    assert _run_with_recursion_limit(600, evaluate + [_ladder(MAX_TREE_DEPTH, "(| x |)")]) == 0
+    assert capsys.readouterr().out.count("y") == 1
+    for argv in (
+        ["product", "--omega", family_file, "--expr", _ladder(MAX_TREE_DEPTH + 1) + " * (|)"],
+        ["product", "--omega", family_file, "--expr", _ladder(600)],
+        evaluate + [_ladder(MAX_TREE_DEPTH + 1, "(| x |)")],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"tree deeper than {MAX_TREE_DEPTH} levels" in err
+
+
+def test_word_length_limit(family_file, algebra_file, capsys):
+    argv = ["words", "--omega", family_file, "--algebra", algebra_file, "--expr"]
+    at = _long_word(MAX_WORD_LENGTH)
+    ((word, _),) = parse_word_expr(at, POLY, FAMILY_STRUCTURE.labels)
+    assert word_length(word) == MAX_WORD_LENGTH
+    assert _run_with_recursion_limit(600, argv + [at + " * 1 [b] x"]) == 0
+    assert capsys.readouterr().out.count(" + ") == MAX_WORD_LENGTH - 1
+    for expr in (_long_word(MAX_WORD_LENGTH + 1), _long_word(1200) + " * " + _long_word(1200)):
+        assert main(argv + [expr]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"word longer than {MAX_WORD_LENGTH} letters" in err
+
+
+def test_nested_groups_and_signs_do_not_recurse_without_bound(family_file, algebra_file, capsys):
+    words = ["words", "--omega", family_file, "--algebra", algebra_file, "--expr"]
+    nested = "(" * MAX_TREE_DEPTH + "x" + ")" * MAX_TREE_DEPTH
+    assert main(words + [nested]) == 0
+    assert capsys.readouterr().out.strip() == "x"
+    assert main(words + ["(" + nested + ")"]) == 2
+    assert "nested deeper" in capsys.readouterr().err
+    assert main(words + ["- " * 1501 + "x"]) == 0
+    assert capsys.readouterr().out.strip() == "-x"
+    assert main(["product", "--omega", family_file, "--expr=" + "- " * 1500 + "(|)"]) == 0
+    assert capsys.readouterr().out.strip() == "(|)"
+
+
+# -- psi together with weight_zero ------------------------------------------------
+
+
+def test_psi_and_weight_zero_are_exclusive_in_a_file(tmp_path, capsys):
+    text = PSI_TEXT + "weight_zero = true\n"
+    with pytest.raises(StructureError, match="exclusive"):
+        parse_structure(text)
+    path = tmp_path / "psi_weight_zero.txt"
+    path.write_text(text)
+    assert main(["check", str(path), "--level", "maps"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exclusive" in err
+    assert parse_structure(PSI_TEXT + "weight_zero = false\n").psi is not None
+
+
+def test_weight_zero_mode_drops_psi_in_every_layer(tmp_path, capsys):
+    from dataclasses import replace
+
+    from omegarb.omega import check_lambda_ets, check_maps_level
+
+    s = parse_structure(PSI_TEXT)
+    assert not s.psi_map(1, 1).is_zero()
+    zero = replace(s, weight_zero=True)
+    bare = replace(s, psi=None, weight_zero=True)
+    pairs = [(i, j) for i in range(s.size) for j in range(s.size)]
+    assert all(zero.psi_map(i, j).is_zero() for i, j in pairs)
+    assert check_maps_level(zero).violations == check_maps_level(bare).violations
+    assert check_lambda_ets(zero).violations == check_lambda_ets(bare).violations
+    b = parse_tree_expr("([b](|))", s.labels)
+    assert TreeAlgebra(zero).product(b, b) == TreeAlgebra(bare).product(b, b)
+    path = tmp_path / "psi.txt"
+    path.write_text(PSI_TEXT)
+    assert main(["product", "--omega", str(path), "--weight-zero",
+                 "--expr", "([b](|)) * ([b](|))"]) == 0
+    assert capsys.readouterr().out.strip() == "2*([a]([a](|)))"

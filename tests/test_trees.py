@@ -1,3 +1,5 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -42,6 +44,17 @@ def test_depth_micro_examples():
     assert depth(graft(0, unit())) == 2
     assert depth(graft(0, corolla(("x", "y")))) == 2
     assert depth(graft(0, graft(1, unit()))) == 3
+
+
+def test_depth_and_leaf_count_of_a_deep_ladder():
+    t = corolla(("x", "y"))
+    for i in range(1200):
+        t = graft(i % 2, t)
+    assert depth(t) == 1201
+    assert leaf_count(t) == 3
+    wide = Tree((None, (0, t), None, (1, graft(0, unit()))), ("x", "y", "z"))
+    assert depth(wide) == 1202
+    assert leaf_count(wide) == 6
 
 
 def test_branches_micro_examples():
@@ -103,8 +116,6 @@ def test_case4_single_branch_expansion():
 
 
 def test_weight_zero_mode_drops_third_term():
-    from dataclasses import replace
-
     s = replace(family_structure(), weight_zero=True)
     alg = TreeAlgebra(s)
     got = alg.product(term(graft(0, unit())), term(graft(1, unit())))
@@ -114,8 +125,6 @@ def test_weight_zero_mode_drops_third_term():
 
 def test_product_requires_weight_data():
     s = family_structure()
-    from dataclasses import replace
-
     bare = replace(s, dot=None, lam=None)
     with pytest.raises(StructureError):
         TreeAlgebra(bare)
@@ -344,3 +353,90 @@ def test_memo_result_trees_are_one_object_per_tree():
             results += 1
             assert seen.setdefault(t, t) is t
     assert results > len(seen)
+
+
+# -- the one-pass kernel against the composed recursion ------------------------
+
+
+class ComposedTreeAlgebra(TreeAlgebra):
+    """Reference: the recursion written with whole formal sums (graft, +,
+    scale, map_basis), as the product was composed before the one-pass kernel."""
+
+    def product(self, u, v):
+        acc = FormalSum.zero()
+        for t1, c1 in u._terms.items():
+            for t2, c2 in v._terms.items():
+                acc = acc + self.diamond_basis(t1, t2).scale(c1 * c2)
+        return acc
+
+    def diamond_basis(self, t, u):
+        key = (t, u)
+        if key in self._cache:
+            return self._cache[key]
+        last, first = t.children[-1], u.children[0]
+        head, tail = t.children[:-1], u.children[1:]
+        angles = t.angles + u.angles
+        if last is None or first is None:
+            merged = first if last is None else last
+            res = term(Tree(head + (merged,) + tail, angles))
+        else:
+            (a, left_sub), (b, right_sub) = last, first
+            om = self.omega
+            mid = graft(
+                om.right(a, b), self.diamond_basis(graft(om.rhd(a, b), left_sub), right_sub)
+            ) + graft(
+                om.left(a, b), self.diamond_basis(left_sub, graft(om.lhd(a, b), right_sub))
+            )
+            if not om.weight_zero:
+                mid = mid + graft(om.dot(a, b), self.diamond_basis(left_sub, right_sub)).scale(
+                    om.lam_at(a, b)
+                )
+            res = mid.map_basis(lambda r: Tree(head + (r.children[0],) + tail, angles))
+        self._cache[key] = res
+        return res
+
+
+COEFFS = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+
+
+def random_tree_sum(rng, pool, size):
+    return sum(
+        (term(rng.choice(pool)).scale(rng.choice(COEFFS)) for _ in range(size)),
+        FormalSum.zero(),
+    )
+
+
+def test_product_matches_composed_recursion():
+    from test_acceptance import acceptance_tree_pool, construction_instances
+
+    pool = acceptance_tree_pool()
+    rng = random.Random(5)
+    structures = construction_instances()
+    structures += [(name + "+wz", replace(s, weight_zero=True)) for name, s in structures]
+    for name, s in structures:
+        alg, ref = TreeAlgebra(s), ComposedTreeAlgebra(s)
+        for t1 in pool:
+            for t2 in pool:
+                assert alg.product(term(t1), term(t2)) == ref.product(term(t1), term(t2)), name
+        for _ in range(20):
+            u, v, w = (random_tree_sum(rng, pool, rng.randint(1, 4)) for _ in range(3))
+            uv = alg.product(u, v)
+            assert uv == ref.product(u, v), name
+            assert alg.product(uv, w) == ref.product(ref.product(u, v), w), name
+        # coefficients 2 and 1/2 multiply to 1: the memo's sum comes back
+        assert alg.product(term(pool[3]).scale(2), term(pool[4]).scale(Fraction(1, 2))) == (
+            ref.product(term(pool[3]), term(pool[4]))
+        )
+
+
+def test_fast_path_result_is_not_changed_by_arithmetic():
+    alg = TreeAlgebra(family_structure(Fraction(2, 3)))
+    t1, t2 = graft(0, corolla(("x",))), graft(1, graft(0, unit()))
+    got = alg.product(term(t1), term(t2))
+    assert got is alg.diamond_basis(t1, t2)
+    snapshot = dict(got._terms)
+    other = term(t1) + got.scale(Fraction(1, 2))
+    _ = [got + other, other + got, got - other, got.scale(3), got.scale(1), -got, 2 * got]
+    assert got._terms == snapshot
+    assert alg.product(term(t1), term(t2)) == got
+    assert got == ComposedTreeAlgebra(alg.omega).product(term(t1), term(t2))

@@ -1,3 +1,5 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -144,8 +146,6 @@ def test_word_rb_expansion():
 def test_length_grading():
     # exact p+q-1 in every term only in weight zero; the weight term merges
     # one more pair of letters, so in general the grading is an upper bound
-    from dataclasses import replace
-
     pool = all_words(2, 2, 2)
     W0 = WordAlgebra(replace(family_structure(), weight_zero=True), truncated_poly())
     W = WordAlgebra(family_structure(), truncated_poly())
@@ -321,3 +321,97 @@ def test_parse_algebra_commutative_flag_rejects_other_text(word):
     with pytest.raises(StructureError, match="commutative must be one of"):
         parse_algebra(f"basis = [1, x]; unit = 1; commutative = {word}; "
                       "mult = [[{0:1},{1:1}],[{1:1},{}]]")
+
+
+# -- the one-pass kernel against the composed recursion ------------------------
+
+
+class ComposedWordAlgebra(WordAlgebra):
+    """Reference: the recursion written with whole formal sums (p_op, product
+    and a cons of head and tail sums), as the product was composed before the
+    one-pass kernel."""
+
+    def product(self, u, v):
+        acc = FormalSum.zero()
+        for w1, c1 in u._terms.items():
+            for w2, c2 in v._terms.items():
+                acc = acc + self.diamond_basis(w1, w2).scale(c1 * c2)
+        return acc
+
+    @staticmethod
+    def _cons(head, ty, tail):
+        return FormalSum(
+            (TypedWord((k,) + w.entries, (ty,) + w.types), ck * cw)
+            for k, ck in head._terms.items()
+            for w, cw in tail._terms.items()
+        )
+
+    def diamond_basis(self, a, b):
+        key = (a, b)
+        if key in self._cache:
+            return self._cache[key]
+        head = self.algebra.product_basis(a.entries[0], b.entries[0])
+        ta = TypedWord(a.entries[1:], a.types[1:]) if a.types else None
+        tb = TypedWord(b.entries[1:], b.types[1:]) if b.types else None
+        if ta is None and tb is None:
+            res = head.map_basis(lambda k: TypedWord((k,), ()))
+        elif tb is None:
+            res = self._cons(head, a.types[0], fs(ta))
+        elif ta is None:
+            res = self._cons(head, b.types[0], fs(tb))
+        else:
+            om = self.omega
+            al, be = a.types[0], b.types[0]
+            res = self._cons(
+                head, om.right(al, be), self.product(self.p_op(om.rhd(al, be), ta), fs(tb))
+            ) + self._cons(
+                head, om.left(al, be), self.product(fs(ta), self.p_op(om.lhd(al, be), tb))
+            )
+            if not om.weight_zero:
+                res = res + self._cons(head, om.dot(al, be), self.diamond_basis(ta, tb)).scale(
+                    om.lam_at(al, be)
+                )
+        self._cache[key] = res
+        return res
+
+
+COEFFS = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+
+
+def random_word_sum(rng, pool, size):
+    return sum(
+        (fs(rng.choice(pool)).scale(rng.choice(COEFFS)) for _ in range(size)), FormalSum.zero()
+    )
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(2, 3)])
+def test_product_matches_composed_recursion(lam):
+    pool = all_words(2, 2, 3)
+    short = [w for w in pool if word_length(w) <= 2]
+    rng = random.Random(7)
+    instances = strict_commutative_instances(lam)
+    assert len(instances) == 14
+    instances += [(name + "+wz", replace(s, weight_zero=True)) for name, s in instances]
+    for name, s in instances:
+        W, ref = WordAlgebra(s, truncated_poly()), ComposedWordAlgebra(s, truncated_poly())
+        for u in short:
+            for v in pool:
+                assert W.product(fs(u), fs(v)) == ref.product(fs(u), fs(v)), name
+        for _ in range(6):
+            u, v, w = (random_word_sum(rng, pool, rng.randint(1, 3)) for _ in range(3))
+            uv = W.product(u, v)
+            assert uv == ref.product(u, v), name
+            assert W.product(uv, w) == ref.product(ref.product(u, v), w), name
+
+
+def test_fast_path_result_is_not_changed_by_arithmetic():
+    W = WordAlgebra(family_structure(Fraction(2, 3)), truncated_poly())
+    a, b = TypedWord((1, 0), (0,)), TypedWord((0, 1, 1), (1, 0))
+    got = W.product(fs(a), fs(b))
+    assert got is W.diamond_basis(a, b)
+    snapshot = dict(got._terms)
+    other = fs(a) + got.scale(Fraction(1, 2))
+    _ = [got + other, other + got, got - other, got.scale(3), got.scale(1), -got, 2 * got]
+    assert got._terms == snapshot
+    assert W.product(fs(a), fs(b)) == got
+    assert got == ComposedWordAlgebra(W.omega, W.algebra).product(fs(a), fs(b))

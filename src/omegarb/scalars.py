@@ -12,13 +12,17 @@ compare and hash alike, and ``str`` prints both the same way.
 A :class:`FormalSum` is a finite linear combination of hashable basis
 elements with nonzero coefficients in that canonical form; the zero element
 is the empty sum.  :func:`accumulate` is the one step that adds scaled terms
-into a coefficient dict and keeps it canonical; sums, scalings, relabelings
-and the product loops of the tree and word algebras all go through it.
+into a coefficient dict and keeps it canonical; sums, scalings and
+relabelings go through it.  The tree and word products work on integer
+numerators instead: :func:`graded_product` is the bilinear extension of a
+graded integer kernel, with ints in its inner loop and one exact division
+per output term (:func:`graded_sum`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -57,6 +61,12 @@ def accumulate(acc: dict, items: Iterable, factor: Scalar = 1) -> dict:
         else:
             acc.pop(basis, None)
     return acc
+
+
+def quotient(n: int, d: int) -> Scalar:
+    """The exact value of n / d (d > 0) in canonical form."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
 
 
 def _exact(coeff) -> Scalar:
@@ -190,3 +200,95 @@ def bilinear_extend(fn: Callable[[object, object], FormalSum]):
         return FormalSum._raw(acc)
 
     return extended
+
+
+def graded_product(x: dict, y: dict, kernel: Callable, grade: Callable, d: int = 1,
+                   d_alg: int = 1) -> FormalSum:
+    """The product of two coefficient dicts through a graded integer kernel.
+
+    ``kernel(bx, by)`` returns a dict {basis: n} of nonzero int numerators
+    for the product of two basis elements: the coefficient of ``basis`` is
+    ``n / (d**g * d_alg**(grade(basis) + 1))`` with the grade drop
+    ``g = grade(bx) + grade(by) - grade(basis)`` (``d_alg`` is 1 unless the
+    kernel also scales by structure constants).  Each operand is brought to
+    one common denominator and lifted to its top grade (see
+    :func:`_numerators`), so the inner loop adds ints only, and each output
+    term takes one exact division.
+    """
+    if not x or not y:
+        return FormalSum._raw({})
+    # the common integral case inline, the rest through _numerators
+    if d == 1 and Fraction not in map(type, x.values()):
+        ux, tx, xs = 1, 0, x.items()
+    else:
+        ux, tx, xs = _numerators(x, grade, d)
+    if d == 1 and Fraction not in map(type, y.values()):
+        uy, ty, ys = 1, 0, y.items()
+    else:
+        uy, ty, ys = _numerators(y, grade, d)
+    acc: dict = {}
+    get = acc.get
+    for bx, nx in xs:
+        for by, ny in ys:
+            f = nx * ny
+            if f == 1:
+                for b, n in kernel(bx, by).items():
+                    acc[b] = get(b, 0) + n
+            else:
+                for b, n in kernel(bx, by).items():
+                    acc[b] = get(b, 0) + f * n
+    if 0 in acc.values():
+        drop_zeros(acc)
+    base = ux * uy
+    if d == 1 == d_alg:
+        if base != 1:
+            acc = {b: quotient(n, base) for b, n in acc.items()}
+        return FormalSum._raw(acc)
+    return graded_sum(acc, tx + ty, grade, d, d_alg, base)
+
+
+def graded_sum(num: dict, top: int, grade: Callable, d: int = 1, d_alg: int = 1,
+               base: int = 1) -> FormalSum:
+    """The exact sum with coefficients ``num[b] / (base * d**(top - grade(b))
+    * d_alg**(grade(b) + 1))``, one exact division per term; ``num`` holds
+    nonzero ints and is not changed.  With d > 1 no grade exceeds top."""
+    out = {}
+    if d == 1:
+        for b, n in num.items():
+            out[b] = quotient(n, base * d_alg ** (grade(b) + 1))
+        return FormalSum._raw(out)
+    # the denominator of each grade, indexed by top - grade
+    dens = [base * d_alg ** (top - k + 1) * d ** k for k in range(top + 1)]
+    for b, n in num.items():
+        den = dens[top - grade(b)]
+        q, r = divmod(n, den)
+        out[b] = Fraction(n, den) if r else q
+    return FormalSum._raw(out)
+
+
+def drop_zeros(acc: dict) -> dict:
+    """Remove the keys whose int value cancelled to 0; returns acc."""
+    for b in [b for b, n in acc.items() if not n]:
+        del acc[b]
+    return acc
+
+
+def _numerators(terms: dict, grade: Callable, d: int):
+    """(U, top, items) for one operand: U is the least common denominator of
+    its coefficients, top its highest grade (0 when d is 1), and items the
+    (basis, c * U * d**(top - grade(basis))) pairs, all ints."""
+    if len(terms) == 1:
+        ((b, c),) = terms.items()
+        return c.denominator, grade(b) if d != 1 else 0, [(b, c.numerator)]
+    if Fraction in map(type, terms.values()):
+        den = lcm(*(c.denominator for c in terms.values()))
+        items = [(b, c.numerator * (den // c.denominator)) for b, c in terms.items()]
+    else:
+        den, items = 1, terms.items()
+    if d == 1:
+        return den, 0, items
+    grades = [grade(b) for b in terms]
+    top = max(grades)
+    if min(grades) == top:
+        return den, top, items
+    return den, top, [(b, n * d ** (top - g)) for (b, n), g in zip(items, grades)]

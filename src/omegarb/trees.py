@@ -17,13 +17,26 @@ pair expands to the three grafted terms typed (a->b, a|>b), (a<-b, a<|b)
 and weight * (a.b) before merging, recursing on the subtrees.  Grafting on
 a new root realizes the Rota-Baxter operator family.
 
-The product is memoized on basis pairs, and each memo entry is built in one
-pass: ``diamond_basis`` fetches the two or three memoized sums R of the
-recursion and adds every final tree, the left head, the edge typed w over a
-term of R, then the right tail, interned, straight into one coefficient dict.
-No intermediate formal sum is made.  ``product`` of two single terms whose
-coefficients multiply to 1 returns the memo's sum itself; formal sums are
-immutable, so callers cannot change it.
+The recursion is memoized on basis pairs, and its memo holds integer
+numerators graded by the weight term.  In t*u the coefficient of a result
+tree r carries exactly g = edges(t) + edges(u) - edges(r) factors lambda,
+because the weight term merges two edges into one and the other two terms
+keep the edge count.  With D the least common denominator of the lambda
+table (1 in weight-0 mode), the memo stores coefficient * D**g, an int.
+Each entry is built in one pass from the two or three memoized entries of
+the recursion: the left head, the edge typed w over a result tree of the
+entry, then the right tail, interned, go straight into one dict; the two
+edge-keeping terms copy their numerators and the weight term multiplies
+them by the int lambda(a, b) * D.  No Fraction arithmetic happens inside.
+
+Exact rationals come back only at the boundary.  ``diamond_basis`` returns
+the canonical FormalSum of a basis pair, cached per pair, and ``product``
+of sums (``scalars.graded_product``) brings each operand to one common
+denominator, adds ints, and divides once per output term.  With integral
+weights (D = 1) the numerators are the coefficients, and ``diamond_basis``
+wraps the memo's dict without a copy.  ``product`` of two single terms
+whose coefficients multiply to 1 returns the cached sum itself; formal sums
+are immutable, so callers cannot change it.
 
 The expression parser refuses a tree deeper than ``MAX_TREE_DEPTH`` levels
 with :class:`ExprError`, so products and ``evaluate`` on parsed input stay
@@ -34,9 +47,10 @@ iterative and take trees of any depth.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .omega import OmegaStructure, StructureError
-from .scalars import FormalSum, accumulate
+from .scalars import FormalSum, accumulate, graded_product, graded_sum
 
 __all__ = [
     "Tree",
@@ -46,6 +60,7 @@ __all__ = [
     "depth",
     "branches",
     "leaf_count",
+    "edge_count",
     "TreeAlgebra",
     "rb_operator",
     "assoc_counterexample_search",
@@ -58,7 +73,7 @@ __all__ = [
 
 
 class Tree:
-    __slots__ = ("children", "angles", "_hash", "_key", "_depth")
+    __slots__ = ("children", "angles", "_hash", "_key", "_depth", "_edges")
 
     def __init__(self, children, angles):
         children = tuple(children)
@@ -72,6 +87,7 @@ class Tree:
         self._hash = hash((children, angles))
         self._key = None
         self._depth = None
+        self._edges = None
 
     def __eq__(self, other):
         if self is other:
@@ -140,6 +156,23 @@ def branches(t: Tree) -> int:
     return len(t.children)
 
 
+def edge_count(t: Tree) -> int:
+    """Internal edges of a tree; iterative, so any depth works."""
+    if t._edges is not None:
+        return t._edges
+    stack = [t]
+    while t._edges is None:
+        node = stack[-1]
+        subs = [c[1] for c in node.children if c is not None]
+        pending = [sub for sub in subs if sub._edges is None]
+        if pending:
+            stack.extend(pending)
+        else:
+            node._edges = len(subs) + sum(sub._edges for sub in subs)
+            stack.pop()
+    return t._edges
+
+
 def leaf_count(t: Tree) -> int:
     count = 0
     stack = [t]
@@ -150,6 +183,31 @@ def leaf_count(t: Tree) -> int:
             else:
                 stack.append(c[1])
     return count
+
+
+def _graded_ops(om: OmegaStructure):
+    """(D, ops) for the graded kernels: D is the least common denominator of
+    the lambda table (1 in weight-0 mode), and ops[a][b] holds the types
+    (a->b, a|>b, a<-b, a<|b, a.b) and the int lambda(a, b) * D, which is 0
+    whenever the weight term vanishes."""
+    lam = None if om.weight_zero else om.lam
+    d = 1 if lam is None else lcm(*[v.denominator for row in lam for v in row])
+    right, rhd, left, lhd = om.right.rows, om.rhd.rows, om.left.rows, om.lhd.rows
+    rng = range(om.size)
+    if lam is None:
+        return d, tuple(
+            tuple((right[a][b], rhd[a][b], left[a][b], lhd[a][b], None, 0) for b in rng)
+            for a in rng
+        )
+    dot = om.dot.rows
+    return d, tuple(
+        tuple(
+            (right[a][b], rhd[a][b], left[a][b], lhd[a][b], dot[a][b],
+             lam[a][b].numerator * (d // lam[a][b].denominator))
+            for b in rng
+        )
+        for a in rng
+    )
 
 
 class TreeAlgebra:
@@ -165,9 +223,13 @@ class TreeAlgebra:
                 "tree product needs strict (dot, lambda) weight data or weight-0 mode"
             )
         self.omega = omega
+        self._d, self._ops = _graded_ops(omega)
+        # (t, u) -> {tree: int numerator}, the graded memo of the recursion
+        self._memo: dict = {}
+        # (t, u) -> exact FormalSum, for the pairs diamond_basis was asked for
         self._cache: dict = {}
         # one object per distinct result tree of the memo: equal trees built
-        # by different diamond_basis calls share storage and compare by `is`
+        # by different _diamond calls share storage and compare by `is`
         self._trees: dict = {}
 
     def one(self) -> FormalSum:
@@ -199,15 +261,26 @@ class TreeAlgebra:
             ((t2, c2),) = vt.items()
             if c1 * c2 == 1:
                 return self.diamond_basis(t1, t2)
-        acc: dict = {}
-        for t1, c1 in ut.items():
-            for t2, c2 in vt.items():
-                accumulate(acc, self.diamond_basis(t1, t2)._terms.items(), c1 * c2)
-        return FormalSum._raw(acc)
+        return graded_product(ut, vt, self._diamond, edge_count, self._d)
 
     def diamond_basis(self, t: Tree, u: Tree) -> FormalSum:
+        """The exact product of two trees, one cached sum per pair."""
         key = (t, u)
         hit = self._cache.get(key)
+        if hit is None:
+            num = self._diamond(t, u)
+            if self._d == 1:
+                # integral weights: the numerators are the coefficients
+                hit = FormalSum._raw(num)
+            else:
+                hit = graded_sum(num, edge_count(t) + edge_count(u), edge_count, self._d)
+            self._cache[key] = hit
+        return hit
+
+    def _diamond(self, t: Tree, u: Tree) -> dict:
+        # the graded numerators of t*u: coefficient * D**(edges lost)
+        key = (t, u)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
         last = t.children[-1]
@@ -216,33 +289,42 @@ class TreeAlgebra:
         tail = u.children[1:]
         angles = t.angles + u.angles
         intern = self._trees.setdefault
+        # with D > 1 every tree made here is given its edge count, the grade
+        # that diamond_basis and product divide by, without walking it again
+        graded = self._d != 1
         if last is None or first is None:
             merged = first if last is None else last
             tree = Tree(head + (merged,) + tail, angles)
-            res = FormalSum.term(intern(tree, tree))
+            if graded:
+                tree._edges = edge_count(t) + edge_count(u)
+            res = {intern(tree, tree): 1}
         else:
             a, left_sub = last
             b, right_sub = first
-            om = self.omega
-            diamond = self.diamond_basis
-            # (edge type w, memoized sum R of subtrees below it, coefficient)
-            parts = [
-                (om.right(a, b), diamond(graft(om.rhd(a, b), left_sub), right_sub), 1),
-                (om.left(a, b), diamond(left_sub, graft(om.lhd(a, b), right_sub)), 1),
-            ]
-            if not om.weight_zero:
-                coeff = om.lam_at(a, b)
-                if coeff:
-                    parts.append((om.dot(a, b), diamond(left_sub, right_sub), coeff))
+            right, rhd, left, lhd, dot, lam = self._ops[a][b]
+            up = Tree(((rhd, left_sub),), ())
+            down = Tree(((lhd, right_sub),), ())
+            if graded:
+                el, er = edge_count(left_sub), edge_count(right_sub)
+                up._edges, down._edges = el + 1, er + 1
+                # the edges of t and u outside the two boundary edges
+                outer = edge_count(t) + edge_count(u) - 2 - el - er
+            diamond = self._diamond
+            # (edge type w, numerators of the subtrees below it, int factor)
+            parts = [(right, diamond(up, right_sub), 1), (left, diamond(left_sub, down), 1)]
+            if lam:
+                # the weight term merges two edges: one grade up
+                parts.append((dot, diamond(left_sub, right_sub), lam))
             acc: dict = {}
-            for w, sub_sum, coeff in parts:
-                joined = (
-                    (Tree(head + ((w, sub),) + tail, angles), c)
-                    for sub, c in sub_sum._terms.items()
-                )
-                accumulate(acc, joined, coeff)
-            res = FormalSum._raw({intern(tree, tree): c for tree, c in acc.items()})
-        self._cache[key] = res
+            get = acc.get
+            for w, sub, factor in parts:
+                for sub_tree, n in sub.items():
+                    tree = Tree(head + ((w, sub_tree),) + tail, angles)
+                    if graded:
+                        tree._edges = outer + 1 + sub_tree._edges
+                    acc[tree] = get(tree, 0) + factor * n
+            res = {intern(tree, tree): n for tree, n in acc.items() if n}
+        self._memo[key] = res
         return res
 
     def evaluate(self, x: FormalSum | Tree, f, target):

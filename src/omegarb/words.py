@@ -16,10 +16,11 @@ unitization.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .omega import OmegaStructure, StructureError
-from .scalars import FormalSum, accumulate
-from .trees import MAX_TREE_DEPTH, ExprError, _tokenize_expr
+from .scalars import FormalSum, accumulate, drop_zeros, graded_product, graded_sum
+from .trees import MAX_TREE_DEPTH, ExprError, _graded_ops, _tokenize_expr
 
 __all__ = [
     "FiniteAlgebra",
@@ -193,12 +194,29 @@ class WordAlgebra:
     The product is the mixable shuffle, memoized on basis pairs.  For two
     words a0 (x)_al ta and b0 (x)_be tb it is the sum over the terms k of
     a0*b0 of k (x)_w R, for the three (w, R) pairs (al->be, P_{al|>be}(ta)*tb),
-    (al<-be, ta*P_{al<|be}(tb)) and (al.be, lambda*(ta*tb)).  ``diamond_basis``
-    builds each memo entry in one pass: it fetches the memoized sums R, with
-    P_w(ta) spelt as the prefixed word itself, and adds every final word
-    k (x)_w r straight into one coefficient dict.  ``product`` of two single
-    terms whose coefficients multiply to 1 returns the memo's sum itself;
-    formal sums are immutable, so callers cannot change it.
+    (al<-be, ta*P_{al<|be}(tb)) and (al.be, lambda*(ta*tb)).  If a0*b0 is
+    zero, so is the product, and nothing is recursed into.
+
+    The memo holds integer numerators graded by length.  In a*b the
+    coefficient of a result word w carries exactly g = len(a) + len(b) - 1
+    - len(w) factors lambda (the weight term drops a letter) and at most
+    len(w) structure constants (one per letter k it writes).  With D the
+    least common denominator of the lambda table (1 in weight-0 mode) and
+    D_A that of the structure constants, the memo stores coefficient * D**g
+    * D_A**len(w), an int.  Each entry is built in one pass from the
+    memoized entries R, with P_w(ta) spelt as the prefixed word itself: every
+    final word k (x)_w r goes straight into one dict, with its numerator
+    multiplied by the int c_k * D_A, and by the int lambda * D in the
+    weight term.  No Fraction arithmetic happens inside.
+
+    Exact rationals come back only at the boundary.  ``diamond_basis``
+    returns the canonical FormalSum of a basis pair, cached per pair, and
+    ``product`` of sums (``scalars.graded_product``) brings each operand to
+    one common denominator, adds ints, and divides once per output term.
+    When D = D_A = 1 the numerators are the coefficients, and
+    ``diamond_basis`` wraps the memo's dict without a copy.  ``product`` of
+    two single terms whose coefficients multiply to 1 returns the cached sum
+    itself; formal sums are immutable, so callers cannot change it.
     """
 
     def __init__(self, omega: OmegaStructure, algebra: FiniteAlgebra):
@@ -212,6 +230,22 @@ class WordAlgebra:
             )
         self.omega = omega
         self.algebra = algebra
+        self._d, self._ops = _graded_ops(omega)
+        # D_A, the least common denominator of the structure constants, and
+        # the first-letter products with coefficients scaled by it
+        d_alg = self._d_alg = lcm(
+            *[c.denominator for row in algebra.mult for cell in row for c in cell._terms.values()]
+        )
+        self._heads = tuple(
+            tuple(
+                tuple((k, c.numerator * (d_alg // c.denominator)) for k, c in cell._terms.items())
+                for cell in row
+            )
+            for row in algebra.mult
+        )
+        # (a, b) -> {word: int numerator}, the graded memo of the recursion
+        self._memo: dict = {}
+        # (a, b) -> exact FormalSum, for the pairs diamond_basis was asked for
         self._cache: dict = {}
 
     def one(self) -> FormalSum:
@@ -246,50 +280,72 @@ class WordAlgebra:
             ((w2, c2),) = vt.items()
             if c1 * c2 == 1:
                 return self.diamond_basis(w1, w2)
-        acc: dict = {}
-        for w1, c1 in ut.items():
-            for w2, c2 in vt.items():
-                accumulate(acc, self.diamond_basis(w1, w2)._terms.items(), c1 * c2)
-        return FormalSum._raw(acc)
+        return graded_product(ut, vt, self._diamond, _grade, self._d, self._d_alg)
 
     def diamond_basis(self, a: TypedWord, b: TypedWord) -> FormalSum:
+        """The exact product of two words, one cached sum per pair."""
         key = (a, b)
         hit = self._cache.get(key)
+        if hit is None:
+            num = self._diamond(a, b)
+            if self._d == 1 == self._d_alg:
+                # integral weights and structure constants: the numerators
+                # are the coefficients
+                hit = FormalSum._raw(num)
+            else:
+                top = len(a.types) + len(b.types)
+                hit = graded_sum(num, top, _grade, self._d, self._d_alg)
+            self._cache[key] = hit
+        return hit
+
+    def _diamond(self, a: TypedWord, b: TypedWord) -> dict:
+        # the graded numerators of a*b: coefficient * D**(letters lost)
+        # * D_A**len(word)
+        key = (a, b)
+        hit = self._memo.get(key)
         if hit is not None:
             return hit
-        head = self.algebra.product_basis(a.entries[0], b.entries[0])._terms.items()
-        if not a.types or not b.types:
+        head = self._heads[a.entries[0]][b.entries[0]]
+        if not head:
+            # the first letters multiply to zero, and so does everything
+            res = {}
+        elif not a.types or not b.types:
             # at most one factor goes on after its first letter
             rest = a if a.types else b
             entries, types = rest.entries[1:], rest.types
-            res = FormalSum._raw({_word((k,) + entries, types): ck for k, ck in head})
+            scale = self._d_alg ** len(types)
+            res = {_word((k,) + entries, types): hk * scale for k, hk in head}
         else:
-            om = self.omega
             e = self.algebra.unit
             al, be = a.types[0], b.types[0]
+            right, rhd, left, lhd, dot, lam = self._ops[al][be]
             ta, tb = _tail(a), _tail(b)
-            diamond = self.diamond_basis
-            rhd, lhd = om.rhd(al, be), om.lhd(al, be)
-            # (type w, memoized sum R of the words after it, coefficient)
+            diamond = self._diamond
+            # (type w, numerators of the words after it, int factor)
             parts = [
-                (om.right(al, be), diamond(_word((e,) + ta.entries, (rhd,) + ta.types), tb), 1),
-                (om.left(al, be), diamond(ta, _word((e,) + tb.entries, (lhd,) + tb.types)), 1),
+                (right, diamond(_word((e,) + ta.entries, (rhd,) + ta.types), tb), 1),
+                (left, diamond(ta, _word((e,) + tb.entries, (lhd,) + tb.types)), 1),
             ]
-            if not om.weight_zero:
-                coeff = om.lam_at(al, be)
-                if coeff:
-                    parts.append((om.dot(al, be), diamond(ta, tb), coeff))
+            if lam:
+                # the weight term drops a letter: one grade up
+                parts.append((dot, diamond(ta, tb), lam))
             acc: dict = {}
-            for w, sub_sum, coeff in parts:
-                items = sub_sum._terms.items()
-                for k, ck in head:
-                    prefixed = (
-                        (_word((k,) + word.entries, (w,) + word.types), cw) for word, cw in items
-                    )
-                    accumulate(acc, prefixed, ck * coeff)
-            res = FormalSum._raw(acc)
-        self._cache[key] = res
+            get = acc.get
+            for w, sub, factor in parts:
+                items = sub.items()
+                for k, hk in head:
+                    f = hk * factor
+                    for word, n in items:
+                        word = _word((k,) + word.entries, (w,) + word.types)
+                        acc[word] = get(word, 0) + f * n
+            res = drop_zeros(acc) if 0 in acc.values() else acc
+        self._memo[key] = res
         return res
+
+
+def _grade(w: TypedWord) -> int:
+    # the grade of the numerator memo: letters minus one
+    return len(w.types)
 
 
 def _tail(w: TypedWord) -> TypedWord:

@@ -408,3 +408,18 @@ def test_weight_zero_mode_drops_psi_in_every_layer(tmp_path, capsys):
     assert main(["product", "--omega", str(path), "--weight-zero",
                  "--expr", "([b](|)) * ([b](|))"]) == 0
     assert capsys.readouterr().out.strip() == "2*([a]([a](|)))"
+
+
+@pytest.mark.parametrize("command", ["words", "product"])
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
+def test_fractional_weight_output_matches_the_pinned_fixture(command, fmt, ext, tmp_path):
+    # weights 1/2 and 2/3: the output, byte for byte, of the Fraction-based kernel
+    pinned = ROOT / "fixtures" / "family_half"
+    expr = (pinned / f"{command}.expr").read_text().strip()
+    out = tmp_path / "out.txt"
+    argv = [command, "--omega", str(ROOT / "sample_inputs" / "family_half.txt"),
+            "--expr", expr, "--format", fmt, "--out", str(out)]
+    if command == "words":
+        argv += ["--algebra", str(ROOT / "sample_inputs" / "truncated_poly.txt")]
+    assert main(argv) == 0
+    assert out.read_bytes() == (pinned / f"{command}.{ext}").read_bytes()

@@ -3,8 +3,15 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from omegarb.omega import OpTable, StructureError, example_abelian_group, example_semigroup
+from omegarb.omega import (
+    OpTable,
+    StructureError,
+    example_abelian_group,
+    example_matching,
+    example_semigroup,
+)
 from omegarb.scalars import FormalSum
 from omegarb.trees import (
     ExprError,
@@ -15,6 +22,7 @@ from omegarb.trees import (
     branches,
     corolla,
     depth,
+    edge_count,
     graft,
     leaf_count,
     parse_tree_expr,
@@ -55,6 +63,17 @@ def test_depth_and_leaf_count_of_a_deep_ladder():
     wide = Tree((None, (0, t), None, (1, graft(0, unit()))), ("x", "y", "z"))
     assert depth(wide) == 1202
     assert leaf_count(wide) == 6
+
+
+def test_edge_count_micro_examples_and_a_deep_ladder():
+    assert edge_count(unit()) == 0
+    assert edge_count(corolla(("x", "y"))) == 0
+    assert edge_count(graft(0, graft(1, unit()))) == 2
+    t = corolla(("x",))
+    for i in range(1200):
+        t = graft(i % 2, t)
+    wide = Tree((None, (0, t), None, (1, graft(0, unit()))), ("x", "y", "z"))
+    assert edge_count(wide) == 1203
 
 
 def test_branches_micro_examples():
@@ -348,8 +367,8 @@ def test_memo_result_trees_are_one_object_per_tree():
             alg.product(alg.product(term(a), term(b)), term(a))
     seen = {}
     results = 0
-    for res in alg._cache.values():
-        for t in res._terms:
+    for res in alg._memo.values():
+        for t in res:
             results += 1
             assert seen.setdefault(t, t) is t
     assert results > len(seen)
@@ -440,3 +459,78 @@ def test_fast_path_result_is_not_changed_by_arithmetic():
     assert got._terms == snapshot
     assert alg.product(term(t1), term(t2)) == got
     assert got == ComposedTreeAlgebra(alg.omega).product(term(t1), term(t2))
+
+
+# -- the graded numerator memo ---------------------------------------------------
+
+
+def weight_instances(lam):
+    s = [example_semigroup(XOR, lam), example_abelian_group(XOR, lam),
+         example_matching((lam, 1)), example_matching((Fraction(2, 3), lam))]
+    return s + [replace(x, weight_zero=True) for x in s]
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(2, 3), Fraction(0)])
+def test_product_matches_composed_recursion_at_weight(lam):
+    pool = all_trees(("x", "y"), 2, max_leaves=2, max_depth=2)
+    rng = random.Random(11)
+    for s in weight_instances(lam):
+        alg, ref = TreeAlgebra(s), ComposedTreeAlgebra(s)
+        for t1 in pool:
+            for t2 in pool:
+                assert alg.product(term(t1), term(t2)) == ref.product(term(t1), term(t2))
+        for _ in range(10):
+            u, v, w = (random_tree_sum(rng, pool, rng.randint(1, 4)) for _ in range(3))
+            uv = alg.product(u, v)
+            assert uv == ref.product(u, v)
+            assert alg.product(uv, w) == ref.product(ref.product(u, v), w)
+        assert all(type(n) is int for res in alg._memo.values() for n in res.values())
+
+
+LAMBDAS = (0, 1, -1, Fraction(1, 2), Fraction(2, 3), Fraction(-3, 4), Fraction(5, 6), 2)
+lam_tables = st.tuples(*[st.sampled_from(LAMBDAS)] * 4).map(
+    lambda v: ((v[0], v[1]), (v[2], v[3]))
+)
+TREE_POOL = all_trees(("x", "y"), 2, max_leaves=2, max_depth=2) + [
+    graft(0, graft(1, corolla(("x",)))), graft(1, graft(1, graft(0, unit())))
+]
+tree_sums = st.lists(
+    st.tuples(st.sampled_from(TREE_POOL), st.sampled_from(COEFFS)), min_size=1, max_size=4
+).map(FormalSum)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam_tables, st.booleans(), tree_sums, tree_sums, tree_sums)
+def test_mixed_denominator_weights_match_composed_recursion(lam, weight_zero, u, v, w):
+    s = replace(family_structure(), lam=lam, weight_zero=weight_zero)
+    alg, ref = TreeAlgebra(s), ComposedTreeAlgebra(s)
+    uv = alg.product(u, v)
+    outputs = [uv, alg.product(uv, w), alg.product(u, alg.product(v, w))]
+    assert outputs == [
+        ref.product(u, v), ref.product(ref.product(u, v), w), ref.product(u, ref.product(v, w))
+    ]
+    for t1, t2 in zip(u.support(), w.support()):
+        outputs.append(alg.diamond_basis(t1, t2))
+        assert outputs[-1] == ref.diamond_basis(t1, t2)
+    # exact and canonical: int numerators in the memo, int or Fraction out
+    assert all(type(n) is int for res in alg._memo.values() for n in res.values())
+    for out in outputs:
+        for c in out._terms.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+    # the edge counts the kernel stores on its result trees are right
+    for t in alg._trees:
+        assert t._edges is None or t._edges == edges_by_recursion(t)
+
+
+def edges_by_recursion(t):
+    return sum(1 + edges_by_recursion(c[1]) for c in t.children if c is not None)
+
+
+def test_integral_weights_share_the_memo_dict():
+    t1, t2 = graft(0, corolla(("x",))), graft(1, graft(0, unit()))
+    alg = TreeAlgebra(family_structure(Fraction(1)))
+    assert alg.diamond_basis(t1, t2)._terms is alg._memo[(t1, t2)]
+    half = TreeAlgebra(family_structure(Fraction(1, 2)))
+    got = half.diamond_basis(t1, t2)
+    assert got._terms is not half._memo[(t1, t2)]
+    assert got == ComposedTreeAlgebra(half.omega).diamond_basis(t1, t2)

@@ -3,6 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from omegarb.omega import OpTable, StructureError, example_semigroup
 from omegarb.scalars import FormalSum
@@ -384,7 +385,7 @@ def random_word_sum(rng, pool, size):
     )
 
 
-@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(2, 3)])
+@pytest.mark.parametrize("lam", [Fraction(1, 2), Fraction(2, 3), Fraction(0)])
 def test_product_matches_composed_recursion(lam):
     pool = all_words(2, 2, 3)
     short = [w for w in pool if word_length(w) <= 2]
@@ -415,3 +416,66 @@ def test_fast_path_result_is_not_changed_by_arithmetic():
     assert got._terms == snapshot
     assert W.product(fs(a), fs(b)) == got
     assert got == ComposedWordAlgebra(W.omega, W.algebra).product(fs(a), fs(b))
+
+
+# -- the graded numerator memo ---------------------------------------------------
+
+
+def test_zero_head_pair_leaves_one_memo_entry():
+    W = WordAlgebra(family_structure(Fraction(1, 2)), truncated_poly())
+    a, b = TypedWord((1, 0, 1), (0, 1)), TypedWord((1, 1, 0), (1, 0))
+    before = len(W._memo)
+    assert W.product(fs(a), fs(b)).is_zero()
+    assert len(W._memo) == before + 1
+    assert W._memo[(a, b)] == {}
+
+
+def square_line(c):
+    """k[x]/(x^2 - c x) with basis (1, x): x*x = c*x, associative for every c."""
+    return FiniteAlgebra(
+        ("1", "x"), ((fs(0), fs(1)), (fs(1), fs(1, c))), unit=0, commutative=True
+    )
+
+
+LAMBDAS = (0, 1, -1, Fraction(1, 2), Fraction(2, 3), Fraction(-3, 4), Fraction(5, 6), 2)
+lam_tables = st.tuples(*[st.sampled_from(LAMBDAS)] * 4).map(
+    lambda v: ((v[0], v[1]), (v[2], v[3]))
+)
+WORD_POOL = all_words(2, 2, 3)
+word_sums = st.lists(
+    st.tuples(st.sampled_from(WORD_POOL), st.sampled_from(COEFFS)), min_size=1, max_size=3
+).map(FormalSum)
+algebras = st.sampled_from((None, Fraction(1, 2), Fraction(-2, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam_tables, st.booleans(), algebras, word_sums, word_sums, word_sums)
+def test_mixed_denominators_match_composed_recursion(lam, weight_zero, c, u, v, w):
+    s = replace(family_structure(), lam=lam, weight_zero=weight_zero)
+    A = truncated_poly() if c is None else square_line(c)
+    W, ref = WordAlgebra(s, A), ComposedWordAlgebra(s, A)
+    uv = W.product(u, v)
+    outputs = [uv, W.product(uv, w), W.product(u, W.product(v, w))]
+    assert outputs == [
+        ref.product(u, v), ref.product(ref.product(u, v), w), ref.product(u, ref.product(v, w))
+    ]
+    for a, b in zip(u.support(), w.support()):
+        outputs.append(W.diamond_basis(a, b))
+        assert outputs[-1] == ref.diamond_basis(a, b)
+    # exact and canonical: int numerators in the memo, int or Fraction out
+    assert all(type(n) is int for res in W._memo.values() for n in res.values())
+    for out in outputs:
+        for coeff in out._terms.values():
+            assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
+
+
+def test_integral_data_share_the_memo_dict():
+    a, b = TypedWord((1, 0), (0,)), TypedWord((0, 1, 1), (1, 0))
+    W = WordAlgebra(family_structure(Fraction(2)), truncated_poly())
+    assert W.diamond_basis(a, b)._terms is W._memo[(a, b)]
+    for s, A in ((family_structure(Fraction(1, 2)), truncated_poly()),
+                 (family_structure(Fraction(1)), square_line(Fraction(1, 2)))):
+        W = WordAlgebra(s, A)
+        got = W.diamond_basis(a, b)
+        assert got._terms is not W._memo[(a, b)]
+        assert got == ComposedWordAlgebra(s, A).diamond_basis(a, b)

@@ -40,8 +40,9 @@ are immutable, so callers cannot change it.
 
 The expression parser refuses a tree deeper than ``MAX_TREE_DEPTH`` levels
 with :class:`ExprError`, so products and ``evaluate`` on parsed input stay
-inside the default recursion limit.  ``depth`` and ``leaf_count`` are
-iterative and take trees of any depth.
+inside the default recursion limit.  ``depth``, ``leaf_count``,
+``Tree.sort_key``, ``==`` and ``tree_to_str`` are iterative and take trees
+of any depth.
 """
 
 from __future__ import annotations
@@ -94,26 +95,81 @@ class Tree:
             return True
         if not isinstance(other, Tree):
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.angles == other.angles
-            and self.children == other.children
-        )
+        if self._hash != other._hash or self.angles != other.angles:
+            return False
+        global _comparing
+        if _comparing:
+            return _same_children(self, other)
+        # the children tuples compare in C; their subtrees are mostly the
+        # same objects (the memo interns its trees), and a nested call, made
+        # for two distinct subtrees, walks them with a stack instead
+        _comparing = True
+        try:
+            return self.children == other.children
+        finally:
+            _comparing = False
 
     def __hash__(self):
         return self._hash
 
     def sort_key(self):
-        # recursive lexicographic on (arity, angle labels, child markers)
+        """The flat preorder sequence: arity, angle labels, then per child 0
+        (leaf) or 1, edge type and the subtree's sequence.  It orders trees
+        as the nested (arity, angles, child markers) tuples would, and is
+        built with a stack, so it compares and prints at any depth."""
         if self._key is None:
-            kids = tuple(
-                (0,) if c is None else (1, c[0], c[1].sort_key()) for c in self.children
-            )
-            self._key = (len(self.children), self.angles, kids)
+            out = []
+            # (tree, index of the next child to write)
+            stack = [(self, 0)]
+            while stack:
+                node, i = stack.pop()
+                kids = node.children
+                if not i:
+                    if node._key is not None:
+                        out.extend(node._key)
+                        continue
+                    out.append(len(kids))
+                    out.extend(node.angles)
+                for j in range(i, len(kids)):
+                    c = kids[j]
+                    if c is None:
+                        out.append(0)
+                    else:
+                        out.append(1)
+                        out.append(c[0])
+                        stack.append((node, j + 1))
+                        stack.append((c[1], 0))
+                        break
+            self._key = tuple(out)
         return self._key
 
     def __repr__(self):
         return f"Tree{self.sort_key()!r}"
+
+
+# True while Tree.__eq__ compares two children tuples in C.  The comparisons
+# nested in that one, of two distinct subtrees, walk instead of recursing, so
+# any depth works.  The flag picks only the path, not the result: threads
+# comparing trees at the same time may see it set and walk.
+_comparing = False
+
+
+def _same_children(t: Tree, u: Tree) -> bool:
+    """Structural equality of two trees with equal hashes and angles, walked
+    with a stack; identical subtrees are not entered."""
+    stack = []
+    while True:
+        for c, d in zip(t.children, u.children):
+            if c is not d:
+                if c is None or d is None or c[0] != d[0]:
+                    return False
+                if c[1] is not d[1]:
+                    stack.append((c[1], d[1]))
+        if not stack:
+            return True
+        t, u = stack.pop()
+        if t._hash != u._hash or t.angles != u.angles:
+            return False
 
 
 _UNIT = Tree((None,), ())
@@ -475,16 +531,24 @@ def _tuples(pool, k):
 
 
 def tree_to_str(t: Tree, type_labels) -> str:
-    parts = []
-    for i, child in enumerate(t.children):
+    out = []
+    # (tree, index of the next child to write), so any depth works
+    stack = [(t, 0)]
+    while stack:
+        node, i = stack.pop()
+        kids = node.children
+        if i == len(kids):
+            out.append(")")
+            continue
+        out.append(f" {node.angles[i - 1]} " if i else "(")
+        stack.append((node, i + 1))
+        child = kids[i]
         if child is None:
-            parts.append("|")
+            out.append("|")
         else:
-            w, sub = child
-            parts.append(f"[{type_labels[w]}]" + tree_to_str(sub, type_labels))
-        if i < len(t.angles):
-            parts.append(t.angles[i])
-    return "(" + " ".join(parts) + ")"
+            out.append(f"[{type_labels[child[0]]}]")
+            stack.append((child[1], 0))
+    return "".join(out)
 
 
 def sum_to_str(s: FormalSum, type_labels) -> str:

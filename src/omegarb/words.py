@@ -4,9 +4,11 @@ A :class:`FiniteAlgebra` is an associative algebra given by structure
 constants over a finite basis (optionally unital, optionally commutative);
 associativity, the unit law, and the commutativity flag are verified at
 construction.  A :class:`TypedWord` alternates basis indices of the algebra
-with type indices of the parameter structure; multilinearity in the algebra
-slots is resolved by expanding products over the basis, so word sums stay in
-canonical form.  :class:`WordAlgebra` implements the four-case inductive
+with type indices of the parameter structure; it is a ``tuple`` subclass
+holding that flat interleaving, so word keys hash and compare in C, and a
+word equals the plain tuple with the same contents.  Multilinearity in the
+algebra slots is resolved by expanding products over the basis, so word sums
+stay in canonical form.  :class:`WordAlgebra` implements the four-case inductive
 product, the prepend operators P_w, and the universal morphism; ``unitize``
 adjoins a unit (new basis index 0) and ``sh_prime_filter`` recognizes the
 free-object subspace generated by a non-unital algebra inside its
@@ -112,44 +114,49 @@ class FiniteAlgebra:
         return f"FiniteAlgebra(labels={self.labels}, unit={self.unit})"
 
 
-class TypedWord:
-    __slots__ = ("entries", "types", "_hash")
+class TypedWord(tuple):
+    """A typed word a0 (x)_t1 a1 ... (x)_tn an, stored flat.
 
-    def __init__(self, entries, types):
+    The word is the tuple ``(a0, t1, a1, ..., tn, an)`` of basis indices of
+    the algebra (even positions) and type indices of the parameter structure
+    (odd positions).  ``entries`` and ``types`` are slices of it.  Hashing
+    and equality are tuple's own, so dict lookups on word keys run in C.
+    One side effect: a word compares equal to, and hashes like, the plain
+    tuple with the same flat contents.  No formal sum mixes the two.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, entries, types):
         entries = tuple(entries)
         types = tuple(types)
         if len(entries) != len(types) + 1:
             raise ValueError("entries count must be types count + 1")
-        self.entries = entries
-        self.types = types
-        self._hash = hash((entries, types))
+        flat = [None] * (2 * len(entries) - 1)
+        flat[0::2] = entries
+        flat[1::2] = types
+        return tuple.__new__(cls, flat)
 
-    def __eq__(self, other):
-        if not isinstance(other, TypedWord):
-            return NotImplemented
-        return self.entries == other.entries and self.types == other.types
+    def __getnewargs__(self):
+        return (self[0::2], self[1::2])
 
-    def __hash__(self):
-        return self._hash
+    @property
+    def entries(self) -> tuple:
+        return self[0::2]
+
+    @property
+    def types(self) -> tuple:
+        return self[1::2]
 
     def sort_key(self):
-        return (len(self.entries), self.types, self.entries)
+        return (len(self) // 2 + 1, self[1::2], self[0::2])
 
     def __repr__(self):
-        return f"TypedWord(entries={self.entries}, types={self.types})"
-
-
-def _word(entries: tuple, types: tuple, _new=object.__new__) -> TypedWord:
-    # internal: a TypedWord from tuples already known to fit together
-    w = _new(TypedWord)
-    w.entries = entries
-    w.types = types
-    w._hash = hash((entries, types))
-    return w
+        return f"TypedWord(entries={self[0::2]}, types={self[1::2]})"
 
 
 def word_length(w: TypedWord) -> int:
-    return len(w.entries)
+    return len(w) // 2 + 1
 
 
 def unitize(algebra: FiniteAlgebra) -> FiniteAlgebra:
@@ -207,7 +214,9 @@ class WordAlgebra:
     memoized entries R, with P_w(ta) spelt as the prefixed word itself: every
     final word k (x)_w r goes straight into one dict, with its numerator
     multiplied by the int c_k * D_A, and by the int lambda * D in the
-    weight term.  No Fraction arithmetic happens inside.
+    weight term.  No Fraction arithmetic happens inside.  Words are flat
+    tuples, so the kernel reads first letters and types by index and builds
+    each word k (x)_w r with one concatenation, ``(k, w) + r``.
 
     Exact rationals come back only at the boundary.  ``diamond_basis``
     returns the canonical FormalSum of a basis pair, cached per pair, and
@@ -264,7 +273,7 @@ class WordAlgebra:
             raise StructureError(f"type index {w} outside carrier")
         e = self.algebra.unit
         return x.map_basis(
-            lambda word: TypedWord((e,) + word.entries, (w,) + word.types)
+            lambda word: tuple.__new__(TypedWord, (e, w) + word)
         )
 
     def product(self, u: FormalSum | TypedWord, v: FormalSum | TypedWord) -> FormalSum:
@@ -293,7 +302,7 @@ class WordAlgebra:
                 # are the coefficients
                 hit = FormalSum._raw(num)
             else:
-                top = len(a.types) + len(b.types)
+                top = len(a) // 2 + len(b) // 2
                 hit = graded_sum(num, top, _grade, self._d, self._d_alg)
             self._cache[key] = hit
         return hit
@@ -305,26 +314,25 @@ class WordAlgebra:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        head = self._heads[a.entries[0]][b.entries[0]]
+        new = tuple.__new__
+        head = self._heads[a[0]][b[0]]
         if not head:
             # the first letters multiply to zero, and so does everything
             res = {}
-        elif not a.types or not b.types:
+        elif len(a) == 1 or len(b) == 1:
             # at most one factor goes on after its first letter
-            rest = a if a.types else b
-            entries, types = rest.entries[1:], rest.types
-            scale = self._d_alg ** len(types)
-            res = {_word((k,) + entries, types): hk * scale for k, hk in head}
+            rest = (b if len(a) == 1 else a)[1:]
+            scale = self._d_alg ** (len(rest) // 2)
+            res = {new(TypedWord, (k,) + rest): hk * scale for k, hk in head}
         else:
             e = self.algebra.unit
-            al, be = a.types[0], b.types[0]
-            right, rhd, left, lhd, dot, lam = self._ops[al][be]
-            ta, tb = _tail(a), _tail(b)
+            right, rhd, left, lhd, dot, lam = self._ops[a[1]][b[1]]
+            ta, tb = new(TypedWord, a[2:]), new(TypedWord, b[2:])
             diamond = self._diamond
             # (type w, numerators of the words after it, int factor)
             parts = [
-                (right, diamond(_word((e,) + ta.entries, (rhd,) + ta.types), tb), 1),
-                (left, diamond(ta, _word((e,) + tb.entries, (lhd,) + tb.types)), 1),
+                (right, diamond(new(TypedWord, (e, rhd) + ta), tb), 1),
+                (left, diamond(ta, new(TypedWord, (e, lhd) + tb)), 1),
             ]
             if lam:
                 # the weight term drops a letter: one grade up
@@ -336,7 +344,7 @@ class WordAlgebra:
                 for k, hk in head:
                     f = hk * factor
                     for word, n in items:
-                        word = _word((k,) + word.entries, (w,) + word.types)
+                        word = new(TypedWord, (k, w) + word)
                         acc[word] = get(word, 0) + f * n
             res = drop_zeros(acc) if 0 in acc.values() else acc
         self._memo[key] = res
@@ -345,11 +353,7 @@ class WordAlgebra:
 
 def _grade(w: TypedWord) -> int:
     # the grade of the numerator memo: letters minus one
-    return len(w.types)
-
-
-def _tail(w: TypedWord) -> TypedWord:
-    return _word(w.entries[1:], w.types[1:])
+    return len(w) // 2
 
 
 def word_evaluate(x: FormalSum | TypedWord, f, R, algebra: FiniteAlgebra):
@@ -370,9 +374,10 @@ def word_evaluate(x: FormalSum | TypedWord, f, R, algebra: FiniteAlgebra):
                 )
 
     def eval_word(w: TypedWord):
-        acc = f[w.entries[0]]
-        if w.types:
-            acc = R.product(acc, R.p_op(w.types[0], eval_word(_tail(w))))
+        # fold from the last letter, so any length works
+        acc = f[w[-1]]
+        for i in range(len(w) - 2, 0, -2):
+            acc = R.product(f[w[i - 1]], R.p_op(w[i], acc))
         return acc
 
     if isinstance(x, TypedWord):

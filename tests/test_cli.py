@@ -423,3 +423,16 @@ def test_fractional_weight_output_matches_the_pinned_fixture(command, fmt, ext, 
         argv += ["--algebra", str(ROOT / "sample_inputs" / "truncated_poly.txt")]
     assert main(argv) == 0
     assert out.read_bytes() == (pinned / f"{command}.{ext}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
+def test_integral_weight_word_output_matches_the_pinned_fixture(fmt, ext, tmp_path):
+    # weight 1 on the Z/2 family: products of 3- to 5-letter words
+    pinned = ROOT / "fixtures" / "family_z2"
+    out = tmp_path / "out.txt"
+    argv = ["words", "--omega", str(ROOT / "sample_inputs" / "family_z2.txt"),
+            "--algebra", str(ROOT / "sample_inputs" / "truncated_poly.txt"),
+            "--expr", (pinned / "words.expr").read_text().strip(),
+            "--format", fmt, "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (pinned / f"words.{ext}").read_bytes()

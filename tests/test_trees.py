@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -276,6 +277,56 @@ def test_tree_to_str_examples():
     assert tree_to_str(unit(), labels) == "(|)"
     assert tree_to_str(corolla(("x",)), labels) == "(| x |)"
     assert tree_to_str(graft(0, corolla(("x",))), labels) == "([a](| x |))"
+
+
+def ladder(n, bottom="x"):
+    t = corolla((bottom,))
+    for i in range(n):
+        t = graft(i % 2, t)
+    return t
+
+
+def test_deep_ladders_print_sort_and_compare():
+    labels = ("a", "b")
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        a, b, c = ladder(5000), ladder(5000), ladder(5000, bottom="y")
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert a != c and not a == graft(0, ladder(4999))
+        assert a.sort_key() == b.sort_key() and a.sort_key() < c.sort_key()
+        expect = "(| x |)"
+        for i in range(5000):
+            expect = f"([{labels[i % 2]}]{expect})"
+        assert sum_to_str(term(a), labels) == expect
+        # the two ladders differ only at the bottom; the sum sorts them
+        assert sum_to_str(term(c) + term(a), labels) == expect + " + " + expect.replace("x", "y")
+        assert repr(a).startswith("Tree(1, 1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 0, ")
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def nested_key(t):
+    # the recursive (arity, angles, child markers) key the flat one follows
+    kids = tuple((0,) if c is None else (1, c[0], nested_key(c[1])) for c in t.children)
+    return (len(t.children), t.angles, kids)
+
+
+def test_flat_sort_key_orders_like_the_nested_key():
+    rng = random.Random(11)
+
+    def random_tree(d):
+        k = rng.randint(1, 3)
+        kids = [None if d == 0 or rng.random() < 0.4 else (rng.randrange(3), random_tree(d - 1))
+                for _ in range(k)]
+        return Tree(kids, [rng.choice("xyz") for _ in range(k - 1)])
+
+    pool = all_trees(("x", "y"), 2, max_leaves=3, max_depth=3)
+    pool += [random_tree(rng.randint(0, 5)) for _ in range(2000)]
+    by_flat = sorted(pool, key=Tree.sort_key)
+    assert [nested_key(t) for t in by_flat] == sorted(nested_key(t) for t in pool)
+    for t, u in zip(pool, pool[1:]):
+        assert (t == u) == (t.sort_key() == u.sort_key()) == (nested_key(t) == nested_key(u))
 
 
 def test_parse_examples():

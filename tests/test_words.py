@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -256,6 +259,26 @@ def test_word_evaluate_is_algebra_morphism():
             assert lhs == rhs
 
 
+def test_word_evaluate_folds_a_long_word_without_recursing():
+    s = family_structure()
+    A = truncated_poly()
+    B = second_poly()
+    W_B = WordAlgebra(s, B)
+    f = {0: W_B.one(), 1: fs(TypedWord((1,), ()))}
+    rng = random.Random(7)
+    entries = [rng.randrange(2) for _ in range(1500)]
+    types = [rng.randrange(2) for _ in range(1499)]
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        got = word_evaluate(TypedWord(entries, types), f, W_B, A)
+    finally:
+        sys.setrecursionlimit(old)
+    # f sends x to y and 1 to 1, and each P_t prepends the unit, so the
+    # word comes back letter for letter over the basis (1, y)
+    assert got == fs(TypedWord(entries, types))
+
+
 def test_word_evaluate_rejects_non_morphism():
     s = family_structure()
     A = truncated_poly()
@@ -479,3 +502,76 @@ def test_integral_data_share_the_memo_dict():
         got = W.diamond_basis(a, b)
         assert got._terms is not W._memo[(a, b)]
         assert got == ComposedWordAlgebra(s, A).diamond_basis(a, b)
+
+
+# -- the flat word type -----------------------------------------------------------
+
+
+def test_typed_word_constructor_rejects_mismatched_lengths():
+    for entries, types in (((0, 1), ()), ((0,), (1,)), ((), ())):
+        with pytest.raises(ValueError, match="types count"):
+            TypedWord(entries, types)
+
+
+def test_typed_word_entries_and_types_round_trip():
+    w = TypedWord([1, 0, 1], iter([0, 1]))
+    assert w.entries == (1, 0, 1) and w.types == (0, 1)
+    assert type(w.entries) is tuple and type(w.types) is tuple
+    assert TypedWord(w.entries, w.types) == w
+    assert word_length(w) == 3
+    single = TypedWord((1,), ())
+    assert single.entries == (1,) and single.types == ()
+    # the flat storage, and its documented side effect: tuple equality
+    assert tuple(w) == (1, 0, 0, 1, 1)
+    assert w == (1, 0, 0, 1, 1) and hash(w) == hash((1, 0, 0, 1, 1))
+
+
+def test_typed_word_repr_and_sort_key():
+    w = TypedWord((1, 0, 1), (0, 1))
+    assert repr(w) == "TypedWord(entries=(1, 0, 1), types=(0, 1))"
+    assert repr(TypedWord((0,), ())) == "TypedWord(entries=(0,), types=())"
+    assert w.sort_key() == (3, (0, 1), (1, 0, 1))
+    pool = all_words(2, 2, 3)
+    random.Random(3).shuffle(pool)
+    ordered = sorted(pool, key=TypedWord.sort_key)
+    assert ordered == sorted(pool, key=lambda u: (len(u.entries), u.types, u.entries))
+
+
+def test_typed_word_pickles_and_copies():
+    w = TypedWord((1, 0, 1), (0, 1))
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(w, proto))
+        assert type(back) is TypedWord and back == w
+        assert back.entries == w.entries and back.types == w.types
+    assert type(copy.deepcopy(w)) is TypedWord and copy.deepcopy(w) == w
+    s = FormalSum({w: 2, TypedWord((0,), ()): Fraction(1, 3)})
+    assert pickle.loads(pickle.dumps(s)) == s
+
+
+def test_kernel_words_equal_public_words():
+    W = WordAlgebra(family_structure(Fraction(1, 2)), truncated_poly())
+    a, b = TypedWord((1, 0, 1), (0, 1)), TypedWord((0, 1, 0), (1, 0))
+    out = W.product(fs(a), fs(b))
+    assert len(out) > 1
+    for w, c in out:
+        public = TypedWord(w.entries, w.types)
+        assert public == w and hash(public) == hash(w)
+        assert out.coeff(public) == c
+
+
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(1, 2)])
+def test_kernel_builds_only_typed_words(lam):
+    W = WordAlgebra(family_structure(lam), truncated_poly())
+    pool = all_words(2, 2, 3)
+    outputs = []
+    for a in pool[::3]:
+        for b in pool[::4]:
+            outputs.append(W.diamond_basis(a, b))
+            outputs.append(W.product(fs(a, 2) + fs(b), fs(b, Fraction(1, 3))))
+        outputs.append(W.p_op(1, fs(a)))
+    for a, b in W._memo:
+        assert type(a) is TypedWord and type(b) is TypedWord
+    for res in W._memo.values():
+        assert all(type(w) is TypedWord for w in res)
+    for out in outputs:
+        assert all(type(w) is TypedWord for w in out._terms)

@@ -19,6 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
+from itertools import compress, product, repeat
+from operator import add, itemgetter, mul, ne
 
 from .scalars import FormalSum, accumulate, parse_scalar
 
@@ -562,12 +565,13 @@ def check_ets(s: OmegaStructure) -> AxiomReport:
 
 # A pipeline step is (kind, pos): kind is "phi_l", "phi_r", "phi_s", "tau" or
 # "psi", acting on the tensor factors pos and pos + 1; pipelines list steps in
-# application order (innermost map first).  Each side of an identity is
-# evaluated on every basis triple.  The step tables are read once per
-# structure (_step_tables).  The set maps (phi_*, tau) send a basis tuple to
-# one basis tuple, so the image is carried as a bare tuple until the first
-# psi step and as a canonical coefficient dict after it (_run_pipeline); the
-# two sides are compared as dicts, exactly.
+# application order (innermost map first).  A basis tuple is a flat index in
+# base n, first factor most significant, so index order is lexicographic.  A
+# set map (phi_*, tau) is a tuple of indices.  Each side composes its set-map
+# prefix for all n**3 triples at once by gathers in C, into a table built once
+# per structure: the canonical coefficient dicts that the rest of the side,
+# from its first psi on, gives over the small arity-2/arity-1 spaces.  Both
+# sides are compared as whole tuples; triples are walked only where they differ.
 
 _MAPS_EDS_PIPELINES = (
     ("eds1", (("phi_r", 0), ("tau", 0), ("phi_l", 1), ("tau", 0)),
@@ -642,71 +646,90 @@ ETS_MAP_TO_POINTWISE_TAGS = {
 }
 
 
-def _step_tables(s: OmegaStructure, kinds) -> dict:
-    """The table of each step kind in ``kinds``, read once per structure.
+def _gather(table, idx) -> tuple:
+    """The tuple of table[i] for i in idx (itemgetter alone fails for n < 2)."""
+    return itemgetter(*idx)(table) if len(idx) > 1 else tuple(table[i] for i in idx)
 
-    A ``phi_*`` table holds the pair (main, side) at [i][j]; the ``psi``
-    table holds the canonical (basis, coefficient) items of psi_map(i, j).
-    """
-    rng = range(s.size)
-    pairs = {"phi_l": (s.left, s.lhd), "phi_r": (s.right, s.rhd), "phi_s": (s.dot, s.star)}
-    out = {}
-    for kind in kinds:
-        if kind == "psi":
-            out[kind] = tuple(
-                tuple(tuple(s.psi_map(i, j)._terms.items()) for j in rng) for i in rng
+
+@lru_cache(maxsize=32)
+def _digit_split(n: int, arity: int, p: int):
+    """Split each flat index x of the given arity as (h * n**2 + m) * w + l,
+    m indexing the factor pair p, p + 1.  Returns the tuples over all x of m,
+    of h * n**2 * w + l (x with its pair zeroed) and of h * n * w + l (x with
+    its pair removed, one arity down), and w."""
+    nn, w = n * n, n ** (arity - p - 2)
+    hml = [(x // (nn * w), x // w % nn, x % w) for x in range(n ** arity)]
+    return (tuple(m for _, m, _ in hml), tuple(h * nn * w + l for h, _, l in hml),
+            tuple(h * n * w + l for h, _, l in hml), w)
+
+
+def _side_images(s: OmegaStructure):
+    """images(steps, arity=3): the images under ``steps`` of all basis tuples
+    of that arity in index order; flat indices until a psi acts, then dicts."""
+    n, rng = s.size, range(s.size)
+    ops = {"phi_l": (s.left, s.lhd), "phi_r": (s.right, s.rhd), "phi_s": (s.dot, s.star)}
+    memo: dict = {}
+
+    def step(kind, p, arity):
+        out = memo.get((kind, p, arity))
+        if out is None:
+            # memo[kind] is the step on one factor pair by flat pair index:
+            # the canonical (basis, coefficient) items for psi, else an index
+            table = memo.get(kind)
+            if table is None:
+                if kind == "psi":
+                    table = tuple(tuple(s.psi_map(a, b)._terms.items()) for a in rng for b in rng)
+                elif kind == "tau":
+                    table = tuple(b * n + a for a in rng for b in rng)
+                else:
+                    main, side = (t.rows for t in ops[kind])
+                    table = tuple(a * n + b for ar, br in zip(main, side) for a, b in zip(ar, br))
+                memo[kind] = table
+            pair_of, base, down, w = _digit_split(n, arity, p)
+            out = memo[kind, p, arity] = (
+                tuple(tuple((r + b * w, c) for b, c in table[m]) for m, r in zip(pair_of, down))
+                if kind == "psi"
+                else tuple(map(add, base, map(mul, _gather(table, pair_of), repeat(w))))
             )
-        elif kind in pairs:
-            main, side = (t.rows for t in pairs[kind])
-            out[kind] = tuple(tuple(zip(m_row, s_row)) for m_row, s_row in zip(main, side))
-    return out
+        return out
 
-
-def _run_pipeline(steps, t) -> dict:
-    """The image of the basis tuple ``t`` as a canonical coefficient dict.
-
-    ``steps`` holds (kind, pos, table) triples. Up to the first ``psi`` step
-    the image is one basis tuple with coefficient 1 and is carried bare.
-    """
-    acc = None
-    for kind, p, table in steps:
-        if acc is None:
-            if kind == "tau":
-                t = t[:p] + (t[p + 1], t[p]) + t[p + 2:]
-            elif kind == "psi":
-                head, tail = t[:p], t[p + 2:]
-                acc = {head + (b,) + tail: c for b, c in table[t[p]][t[p + 1]]}
-            else:
-                t = t[:p] + table[t[p]][t[p + 1]] + t[p + 2:]
-        elif kind == "tau":
-            # a bijection of basis tuples: keys never merge
-            acc = {k[:p] + (k[p + 1], k[p]) + k[p + 2:]: c for k, c in acc.items()}
-        elif kind == "psi":
-            out: dict = {}
-            for k, c in acc.items():
-                head, tail = k[:p], k[p + 2:]
-                accumulate(out, ((head + (b,) + tail, d) for b, d in table[k[p]][k[p + 1]]), c)
-            acc = out
-        else:
-            acc = accumulate(
-                {}, ((k[:p] + table[k[p]][k[p + 1]] + k[p + 2:], c) for k, c in acc.items())
+    def psi_part(steps, arity):
+        # the images under the part of a side from its first psi on
+        out = memo.get((steps, arity))
+        if out is None:
+            (_, p), rest = steps[0], steps[1:]
+            after, rows = images(rest, arity - 1), step("psi", p, arity)
+            linear = any(kind == "psi" for kind, _ in rest)  # after holds dicts
+            out = memo[steps, arity] = tuple(
+                {after[y]: c for y, c in row} if len(row) < 2 and not linear
+                else after[row[0][0]] if len(row) == 1 and row[0][1] == 1
+                else accumulate({}, ((k, c * d) for y, c in row for k, d in after[y].items())
+                                if linear else ((after[y], c) for y, c in row))
+                for row in rows
             )
-    return {t: 1} if acc is None else acc
+        return out
+
+    def images(steps, arity=3):
+        out = None
+        for i, (kind, p) in enumerate(steps):
+            if kind == "psi":
+                part = psi_part(steps[i:], arity)
+                return part if out is None else _gather(part, out)
+            table = step(kind, p, arity)
+            out = table if out is None else _gather(table, out)
+        return tuple(range(n ** arity)) if out is None else out
+
+    return images
 
 
 def _check_pipelines(s: OmegaStructure, pipelines, level: str) -> AxiomReport:
     col = _Collector()
-    rng = range(s.size)
-    tables = _step_tables(s, {kind for _, lhs, rhs in pipelines for kind, _ in lhs + rhs})
+    images = _side_images(s)
     for tag, lhs, rhs in pipelines:
-        lhs = tuple((kind, pos, tables.get(kind)) for kind, pos in lhs)
-        rhs = tuple((kind, pos, tables.get(kind)) for kind, pos in rhs)
-        for i in rng:
-            for j in rng:
-                for k in rng:
-                    t = (i, j, k)
-                    if _run_pipeline(lhs, t) != _run_pipeline(rhs, t):
-                        col.hit(tag, t)
+        left, right = images(lhs), images(rhs)
+        if left != right:
+            for t in compress(product(range(s.size), repeat=3), map(ne, left, right)):
+                col.hit(tag, t)
     return col.report(level, tuple(p[0] for p in pipelines))
 
 

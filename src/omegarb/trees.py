@@ -48,6 +48,7 @@ of any depth.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 from .omega import OmegaStructure, StructureError
@@ -399,22 +400,28 @@ class TreeAlgebra:
         return FormalSum._raw(out)
 
     def _evalTree(self, t: Tree, f, target):
-        factors = []
-        for i, child in enumerate(t.children):
-            if child is not None:
-                w, sub = child
-                factors.append(target.p_op(w, self._evalTree(sub, f, target)))
-            if i < len(t.angles):
-                label = t.angles[i]
+        # frames [vertex, child index, factors] on an explicit stack, so any
+        # depth works; value carries a finished subtree up to its parent
+        stack, value = [[t, 0, []]], None
+        while stack:
+            node, i, factors = frame = stack[-1]
+            if i == len(node.children):
+                stack.pop()
+                value = reduce(target.product, factors) if factors else target.one()
+                continue
+            if (child := node.children[i]) is not None:
+                if value is None:
+                    stack.append([child[1], 0, []])
+                    continue
+                factors.append(target.p_op(child[0], value))
+                value = None
+            if i < len(node.angles):
+                label = node.angles[i]
                 if label not in f:
                     raise StructureError(f"no image for generator {label!r}")
                 factors.append(f[label])
-        if not factors:
-            return target.one()
-        acc = factors[0]
-        for fac in factors[1:]:
-            acc = target.product(acc, fac)
-        return acc
+            frame[1] = i + 1
+        return value
 
 
 def rb_operator(algebra: TreeAlgebra, omega: int, u) -> FormalSum:

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -304,6 +305,17 @@ def test_maps_engine_matches_reference_on_psi_structures(eds_reps):
         assert_same_report(check_maps_level(s), "maps", reference_report(s, MAPS_PIPELINES))
 
 
+def flat_terms(terms, n):
+    """A reference image with its basis tuples read as flat base-n indices."""
+    out = {}
+    for key, c in terms.items():
+        x = 0
+        for d in key:
+            x = x * n + d
+        out[x] = c
+    return out
+
+
 def test_maps_engine_cancels_to_zero_exactly():
     # psi(x, y) = a/2 - b/2 for every pair: psi(psi x id) and psi(id x psi)
     # both cancel to zero, so equ6 holds with empty sides
@@ -311,10 +323,10 @@ def test_maps_engine_cancels_to_zero_exactly():
     psi = ((half, half), (half, half))
     s = struct("aabb", "abab", "abab", "aabb", psi=psi)
     _, lhs, rhs = om._MAPS_PSI_PIPELINES[-1]
-    tables = om._step_tables(s, {"psi"})
-    for t in ((0, 0, 0), (1, 0, 1), (1, 1, 1)):
-        for side in (lhs, rhs):
-            assert om._run_pipeline(tuple((k, p, tables[k]) for k, p in side), t) == {}
+    images = om._side_images(s)
+    for side in (lhs, rhs):
+        assert images(side) == ({},) * 8
+        for t in product(range(2), repeat=3):
             assert reference_pipeline(s, side, t).is_zero()
     rep = check_maps_level(s)
     assert "equ6" not in rep.failed_tags()
@@ -322,11 +334,12 @@ def test_maps_engine_cancels_to_zero_exactly():
     # every coefficient the engine produces is exact, and an int when integral
     mixed = FormalSum({0: Fraction(3, 2), 1: Fraction(3, 2)})
     s2 = struct("aabb", "abab", "abab", "aabb", psi=((mixed, half), (half, mixed)))
-    psi2 = om._step_tables(s2, {"psi"})["psi"]
-    image = om._run_pipeline((("psi", 1, psi2), ("psi", 0, psi2)), (0, 0, 0))
-    assert image == reference_pipeline(s2, (("psi", 1), ("psi", 0)), (0, 0, 0))._terms
+    side = (("psi", 1), ("psi", 0))
+    got = om._side_images(s2)(side)
+    for t, image in zip(product(range(2), repeat=3), got):
+        assert image == flat_terms(reference_pipeline(s2, side, t)._terms, 2)
     kinds = set()
-    for c in image.values():
+    for c in got[0].values():
         assert (type(c) is int) == (c.denominator == 1)
         kinds.add(type(c))
     assert kinds == {int, Fraction}
@@ -340,6 +353,90 @@ def test_ets_maps_engine_matches_reference_on_star_structures(eds_reps):
         assert_same_report(check_ets_maps_level(s), "ets-maps",
                            reference_report(s, ETS_MAPS_PIPELINES))
     for _, s in ets_fixture_structures():
+        assert_same_report(check_ets_maps_level(s), "ets-maps",
+                           reference_report(s, ETS_MAPS_PIPELINES))
+
+
+Z3 = OpTable(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+
+
+def with_one_cell_changed(s, name):
+    # a passing structure with one cell of one table moved: few, scattered
+    # violations, so witnesses and counts pin the digit order
+    rows = [list(row) for row in getattr(s, name).rows]
+    rows[1][2] = (rows[1][2] + 1) % s.size
+    return replace(s, **{name: OpTable(rows)})
+
+
+def other_size_structures(n, rng, count, weight):
+    """Seeded structures on n elements, half over arbitrary tables and half
+    over the projection tables (an EDS), with strict, psi or star data.
+
+    The flat indices of the map-level engine are base-n digits, so sizes
+    other than 2 catch a digit-order error; n = 1 has a single basis triple.
+    """
+    labels = tuple("abcdefgh"[:n])
+    rows = tuple(range(n))
+    first = OpTable(tuple((a,) * n for a in rows))
+    second = OpTable((rows,) * n)
+    coeffs = SAMPLE_SCALARS + (Fraction(-1, 2), Fraction(2))
+
+    def table():
+        return OpTable(tuple(tuple(rng.randrange(n) for _ in rows) for _ in rows))
+
+    def cell():
+        keys = rng.sample(rows, rng.randint(1, n))
+        return FormalSum({b: rng.choice(coeffs) for b in keys})
+
+    out = []
+    for k in range(count):
+        if k % 2:
+            tabs = dict(left=first, right=second, lhd=second, rhd=first)
+        else:
+            tabs = {name: table() for name in ("left", "right", "lhd", "rhd")}
+        if weight == "strict":
+            lam = tuple(tuple(rng.choice(SAMPLE_SCALARS) for _ in rows) for _ in rows)
+            extra = dict(dot=table(), lam=lam)
+        elif weight == "psi":
+            extra = dict(psi=tuple(tuple(cell() for _ in rows) for _ in rows))
+        else:
+            extra = dict(dot=table(), star=table())
+        out.append(OmegaStructure(size=n, labels=labels, **tabs, **extra))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_maps_engine_matches_reference_at_sizes_one_and_three(n):
+    rng = random.Random(40 + n)
+    cases = other_size_structures(n, rng, 16, "strict") + other_size_structures(n, rng, 16, "psi")
+    # psi(x, y) = a - b (n = 3) or the zero map (n = 1): psi(psi x id) and
+    # psi(id x psi) cancel to zero on every triple
+    diff = FormalSum({0: 1, n - 1: -1}) if n > 1 else FormalSum.zero()
+    for s in cases[:4]:
+        cancel = replace(s, dot=None, lam=None, psi=tuple((diff,) * n for _ in range(n)))
+        rep = check_maps_level(cancel)
+        assert "equ6" not in rep.failed_tags()
+        cases.append(cancel)
+    cases += [replace(cases[1], weight_zero=True), example_matching(range(1, n + 1))]
+    if n == 3:
+        good = example_semigroup(Z3, Fraction(1, 2))
+        cases += [good, example_abelian_group(Z3, 2)]
+        cases += [with_one_cell_changed(good, name) for name in ("left", "rhd", "dot")]
+    for s in cases:
+        assert_same_report(check_maps_level(s), "maps", reference_report(s, MAPS_PIPELINES))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_ets_maps_engine_matches_reference_at_sizes_one_and_three(n):
+    rng = random.Random(50 + n)
+    cases = other_size_structures(n, rng, 24, "star")
+    if n == 3:
+        const = OpTable(((0,) * 3,) * 3)
+        good = OmegaStructure(size=3, labels=("a", "b", "c"), left=Z3, right=Z3, lhd=const,
+                              rhd=const, dot=Z3, star=const)
+        assert check_ets(good).ok
+        cases += [good] + [with_one_cell_changed(good, name) for name in ("right", "lhd", "star")]
+    for s in cases:
         assert_same_report(check_ets_maps_level(s), "ets-maps",
                            reference_report(s, ETS_MAPS_PIPELINES))
 

@@ -235,6 +235,47 @@ def test_evaluate_rejects_unknown_generator():
         alg.evaluate(corolla(("z",)), {"x": alg.one()}, alg)
 
 
+def evaluate_by_recursion(alg, t, f):
+    # reference: the universal morphism written with one call per vertex
+    factors = []
+    for i, child in enumerate(t.children):
+        if child is not None:
+            factors.append(alg.p_op(child[0], evaluate_by_recursion(alg, child[1], f)))
+        if i < len(t.angles):
+            factors.append(f[t.angles[i]])
+    acc = factors[0] if factors else alg.one()
+    for fac in factors[1:]:
+        acc = alg.product(acc, fac)
+    return acc
+
+
+def test_evaluate_matches_recursion_on_small_trees():
+    alg = TreeAlgebra(family_structure(Fraction(2, 3)))
+    f = {
+        "x": term(graft(0, unit())) + term(corolla(("y",))).scale(Fraction(1, 2)),
+        "y": term(corolla(("x", "y"))) - term(unit()),
+    }
+    for t in all_trees(("x", "y"), 2, max_leaves=3, max_depth=3)[:60]:
+        assert alg.evaluate(t, f, alg) == evaluate_by_recursion(alg, t, f)
+
+
+def test_evaluate_deep_ladder_at_default_recursion_limit():
+    alg = TreeAlgebra(family_structure())
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        t = ladder(5000)
+        # the corolla substitution fixes every tree, at any depth
+        assert alg.evaluate(t, {"x": term(corolla(("x",)))}, alg) == term(t)
+        bottom = unit()
+        for i in range(5000):
+            bottom = graft(i % 2, bottom)
+        got = alg.evaluate(term(t).scale(3), {"x": term(unit()).scale(Fraction(1, 2))}, alg)
+        assert got == term(bottom).scale(Fraction(3, 2))
+    finally:
+        sys.setrecursionlimit(old)
+
+
 # -- counterexample search -----------------------------------------------------
 
 

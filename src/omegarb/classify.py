@@ -22,8 +22,7 @@ from fractions import Fraction
 
 from . import tables as fixtures
 from .omega import OmegaStructure, OpTable, StructureError, check_lambda_ets, check_maps_level
-from .omega import is_commutative, opposite, swap_conjugate
-from .scalars import FormalSum
+from .omega import LEVELS, is_commutative, opposite, pointwise_filter, swap_conjugate
 
 __all__ = [
     "EnumerationResult",
@@ -42,11 +41,8 @@ __all__ = [
 
 DEFAULT_SAMPLES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2))
 
-LEVEL_FIELDS = {
-    "diassoc": ("left", "right"),
-    "eds": ("left", "right", "lhd", "rhd"),
-    "ets": ("left", "right", "lhd", "rhd", "star", "dot"),
-}
+# the tables of a candidate tuple, in the argument order of the level's filter
+LEVEL_FIELDS = {level: LEVELS[level][1] for level in ("diassoc", "eds", "ets")}
 
 
 def all_op_rows(n: int):
@@ -56,106 +52,7 @@ def all_op_rows(n: int):
 
 
 def associative_tables(n: int = 2):
-    out = []
-    rng = range(n)
-    for t in all_op_rows(n):
-        if all(t[t[i][j]][k] == t[i][t[j][k]] for i in rng for j in rng for k in rng):
-            out.append(t)
-    return out
-
-
-def _dia_ok(L, R, n) -> bool:
-    rng = range(n)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                a = L[L[i][j]][k]
-                if a != L[i][L[j][k]] or a != L[i][R[j][k]]:
-                    return False
-                if L[R[i][j]][k] != R[i][L[j][k]]:
-                    return False
-                b = R[i][R[j][k]]
-                if R[L[i][j]][k] != b or R[R[i][j]][k] != b:
-                    return False
-    return True
-
-
-def _eds_extra_ok(L, R, Lh, Rh, n) -> bool:
-    rng = range(n)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                if Rh[i][L[j][k]] != Rh[i][j]:
-                    return False
-                if Lh[R[i][j]][k] != Lh[j][k]:
-                    return False
-                u = Lh[L[i][j]][k]
-                if L[Lh[i][j]][u] != Lh[i][L[j][k]]:
-                    return False
-                if Lh[Lh[i][j]][u] != Lh[j][k]:
-                    return False
-                if R[Lh[i][j]][u] != Lh[i][R[j][k]]:
-                    return False
-                if Rh[Lh[i][j]][u] != Rh[j][k]:
-                    return False
-                v = Rh[i][R[j][k]]
-                w = Rh[j][k]
-                if L[v][w] != Rh[L[i][j]][k]:
-                    return False
-                if Lh[v][w] != Lh[i][j]:
-                    return False
-                if R[v][w] != Rh[R[i][j]][k]:
-                    return False
-                if Rh[v][w] != Rh[i][j]:
-                    return False
-    return True
-
-
-def _ets_extra_ok(L, R, Lh, Rh, S, D, n) -> bool:
-    rng = range(n)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                if S[R[i][j]][k] != S[j][k]:
-                    return False
-                if D[R[i][j]][k] != R[i][D[j][k]]:
-                    return False
-                if Rh[i][j] != Rh[i][D[j][k]]:
-                    return False
-                u = Lh[L[i][j]][k]
-                if S[Lh[i][j]][u] != S[j][k]:
-                    return False
-                if D[Lh[i][j]][u] != Lh[i][D[j][k]]:
-                    return False
-                if L[L[i][j]][k] != L[i][D[j][k]]:
-                    return False
-                v = Rh[i][R[j][k]]
-                w = Rh[j][k]
-                if S[v][w] != S[i][j]:
-                    return False
-                if R[i][R[j][k]] != R[D[i][j]][k]:
-                    return False
-                if D[v][w] != Rh[D[i][j]][k]:
-                    return False
-                if S[L[i][j]][k] != S[i][R[j][k]]:
-                    return False
-                if D[L[i][j]][k] != D[i][R[j][k]]:
-                    return False
-                if Lh[i][j] != Rh[j][k]:
-                    return False
-                if S[i][j] != S[i][L[j][k]]:
-                    return False
-                if Lh[D[i][j]][k] != Lh[j][k]:
-                    return False
-                if L[D[i][j]][k] != D[i][L[j][k]]:
-                    return False
-                if S[i][j] != S[i][D[j][k]]:
-                    return False
-                if S[D[i][j]][k] != S[j][k]:
-                    return False
-                if D[D[i][j]][k] != D[i][D[j][k]]:
-                    return False
-    return True
+    return [t for t in all_op_rows(n) if OpTable(t).is_associative()]
 
 
 def _conj_rows(rows, perm):
@@ -179,28 +76,16 @@ def canonical_tuple(tabs, n: int):
 def _scan_prefixes(args):
     level, n, prefixes = args
     tabs = all_op_rows(n)
-    out = []
+    dia_ok = pointwise_filter("diassoc")
+    out = [p for p in prefixes if dia_ok(*p)]
     if level == "diassoc":
-        out.extend(p for p in prefixes if _dia_ok(p[0], p[1], n))
         return out
-    for L, R in prefixes:
-        if not _dia_ok(L, R, n):
-            continue
-        if level == "diassoc":
-            out.append((L, R))
-            continue
-        for Lh in tabs:
-            for Rh in tabs:
-                if not _eds_extra_ok(L, R, Lh, Rh, n):
-                    continue
-                if level == "eds":
-                    out.append((L, R, Lh, Rh))
-                else:
-                    for S in tabs:
-                        for D in tabs:
-                            if _ets_extra_ok(L, R, Lh, Rh, S, D, n):
-                                out.append((L, R, Lh, Rh, S, D))
-    return out
+    eds_ok = pointwise_filter("eds")
+    out = [(L, R, Lh, Rh) for L, R in out for Lh in tabs for Rh in tabs if eds_ok(L, R, Lh, Rh)]
+    if level == "eds":
+        return out
+    ets_ok = pointwise_filter("ets")
+    return [p + (S, D) for p in out for S in tabs for D in tabs if ets_ok(*p, S, D)]
 
 
 @dataclass
@@ -251,14 +136,6 @@ class EnumerationResult:
                 codes.append("".join(self.labels[v] for row in rows for v in row))
             lines.append("  ".join(f"{c:>{max(len(n), self.n * self.n)}}" for c, n in zip(codes, names)))
         return "\n".join(lines) + "\n"
-
-    def as_structures(self):
-        out = []
-        names = LEVEL_FIELDS[self.level]
-        for tabs in self.reps:
-            kwargs = {name: OpTable(rows) for name, rows in zip(names, tabs)}
-            out.append(OmegaStructure(size=self.n, labels=self.labels, **kwargs))
-        return out
 
 
 def enumerate_level(level: str, n: int = 2, workers: int | None = None) -> EnumerationResult:

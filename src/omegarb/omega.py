@@ -13,17 +13,26 @@ unconditional), and the equivalent tensor-map formulations of each weight
 level.  All checkers are report-based: they scan every triple and return an
 :class:`AxiomReport` with one entry per violated equation tag (first witness
 in lexicographic triple order, plus the total count).
+
+The equation table :data:`POINTWISE_EQUATIONS` is the one source of the
+pointwise identities: one row (tag, text, weight guard) each.  In a text,
+``*`` is the star table, except between ``L[...]`` factors, where it is the
+product of weights.  Each level's report scanner and the early-exit filter
+that the enumeration uses are compiled from the rows on first use, so adding
+an identity means adding one row (and its tag to the level that checks it).
 """
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, product, repeat
+from itertools import compress, count, product, repeat
 from operator import add, itemgetter, mul, ne
 
-from .scalars import FormalSum, accumulate, parse_scalar
+from .scalars import FormalSum, accumulate, parse_scalar, quotient
 
 __all__ = [
     "OpTable",
@@ -49,6 +58,10 @@ __all__ = [
     "parse_structure",
     "serialize_structure",
     "EQUATION_TEXT",
+    "POINTWISE_EQUATIONS",
+    "LEVELS",
+    "parse_equation",
+    "pointwise_filter",
     "MAP_TO_POINTWISE_TAGS",
     "ETS_MAP_TO_POINTWISE_TAGS",
 ]
@@ -209,20 +222,10 @@ class OmegaStructure:
         if self.psi is not None:
             return self.psi[i][j]
         if self.has_strict_weight:
-            return FormalSum.term(self.dot(i, j), self.lam[i][j])
+            lam = self.lam[i][j]
+            return FormalSum._raw({self.dot(i, j): quotient(lam.numerator, lam.denominator)}
+                                  if lam else {})
         raise StructureError("structure has no weight data")
-
-    def label_of(self, i: int) -> str:
-        return self.labels[i]
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise StructureError(f"unknown carrier label {label!r}") from None
-
-    def eds_key(self):
-        return (self.left.rows, self.right.rows, self.lhd.rows, self.rhd.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -276,57 +279,62 @@ class _Collector:
         self.counts[tag] = self.counts.get(tag, 0) + 1
 
     def report(self, level, tag_order) -> AxiomReport:
-        out = []
-        seen = set(self.first)
-        for tag in tag_order:
-            if tag in seen:
-                out.append(Violation(tag, self.first[tag], self.counts[tag]))
-        # any tags not in the declared order (defensive) go last
-        for tag in sorted(seen.difference(tag_order)):
-            out.append(Violation(tag, self.first[tag], self.counts[tag]))
-        return AxiomReport(level, out)
+        """The violations in ``tag_order``, which lists every tag hit."""
+        return AxiomReport(level, [Violation(tag, self.first[tag], self.counts[tag])
+                                   for tag in tag_order if tag in self.first])
 
 
-EQUATION_TEXT = {
-    "dia1": "(a<-b)<-c = a<-(b<-c)",
-    "dia2": "(a<-b)<-c = a<-(b->c)",
-    "dia3": "(a->b)<-c = a->(b<-c)",
-    "dia4": "(a<-b)->c = a->(b->c)",
-    "dia5": "(a->b)->c = a->(b->c)",
-    "EQ1": "a|>(b<-c) = a|>b",
-    "EQ2": "(a->b)<|c = b<|c",
-    "EQ3": "(a<|b)<-((a<-b)<|c) = a<|(b<-c)",
-    "EQ4": "(a<|b)<|((a<-b)<|c) = b<|c",
-    "EQ5": "(a<|b)->((a<-b)<|c) = a<|(b->c)",
-    "EQ6": "(a<|b)|>((a<-b)<|c) = b|>c",
-    "EQ7": "(a|>(b->c))<-(b|>c) = (a<-b)|>c",
-    "EQ8": "(a|>(b->c))<|(b|>c) = a<|b",
-    "EQ9": "(a|>(b->c))->(b|>c) = (a->b)|>c",
-    "EQ10": "(a|>(b->c))|>(b|>c) = a|>b",
-    "EQ11": "L[a->b,c] = L[b,c]",
-    "EQ12": "L[a<|b,(a<-b)<|c] = L[b,c]",
-    "EQ13": "L[a<-b,c] = L[a,b->c]",
-    "EQ14": "L[a|>(b->c),b|>c] = L[a,b]",
-    "EQ15": "L[a,b] = L[a,b<-c]",
-    "EQ16": "L[a,b]*L[a.b,c] = L[b,c]*L[a,b.c]",
-    "eq17": "a|>b = a|>(b.c)",
-    "eq18": "(a->b).c = a->(b.c)",
-    "eq19": "(a<|b).((a<-b)<|c) = a<|(b.c)",
-    "eq20": "(a<-b)<-c = a<-(b.c)",
-    "eq21": "a->(b->c) = (a.b)->c",
-    "eq22": "(a|>(b->c)).(b|>c) = (a.b)|>c",
-    "eq23": "(a<-b).c = a.(b->c)",
-    "eq24": "a<|b = b|>c",
-    "eq25": "(a.b)<|c = b<|c",
-    "eq26": "(a.b)<-c = a.(b<-c)",
-    "eq27": "(a.b).c = a.(b.c)",
-    "EQ17": "(a->b)*c = b*c",
-    "EQ20": "(a<|b)*((a<-b)<|c) = b*c",
-    "EQ23": "(a|>(b->c))*(b|>c) = a*b",
-    "EQ26": "(a<-b)*c = a*(b->c)",
-    "EQ29": "a*b = a*(b<-c)",
-    "EQ32": "a*b = a*(b.c)",
-    "EQ33": "(a.b)*c = b*c",
+# ---------------------------------------------------------------------------
+# The pointwise axioms
+
+# One row (tag, text, guard) per identity.  A text equates two terms in a, b
+# and c: x<-y, x->y, x<|y, x|>y, x.y and x*y look up left, right, lhd, rhd,
+# dot and star, L[x,y] is lambda[x][y], * between weights is their product.
+# A guarded row is checked at a triple only where its guard holds with a
+# nonzero value, at a level that checks the guard; elsewhere it always is.
+POINTWISE_EQUATIONS = (
+    ("dia1", "(a<-b)<-c = a<-(b<-c)", None),
+    ("dia2", "(a<-b)<-c = a<-(b->c)", None),
+    ("dia3", "(a->b)<-c = a->(b<-c)", None),
+    ("dia4", "(a<-b)->c = a->(b->c)", None),
+    ("dia5", "(a->b)->c = a->(b->c)", None),
+    ("EQ1", "a|>(b<-c) = a|>b", None),
+    ("EQ2", "(a->b)<|c = b<|c", None),
+    ("EQ3", "(a<|b)<-((a<-b)<|c) = a<|(b<-c)", None),
+    ("EQ4", "(a<|b)<|((a<-b)<|c) = b<|c", None),
+    ("EQ5", "(a<|b)->((a<-b)<|c) = a<|(b->c)", None),
+    ("EQ6", "(a<|b)|>((a<-b)<|c) = b|>c", None),
+    ("EQ7", "(a|>(b->c))<-(b|>c) = (a<-b)|>c", None),
+    ("EQ8", "(a|>(b->c))<|(b|>c) = a<|b", None),
+    ("EQ9", "(a|>(b->c))->(b|>c) = (a->b)|>c", None),
+    ("EQ10", "(a|>(b->c))|>(b|>c) = a|>b", None),
+    ("EQ11", "L[a->b,c] = L[b,c]", None),
+    ("EQ12", "L[a<|b,(a<-b)<|c] = L[b,c]", None),
+    ("EQ13", "L[a<-b,c] = L[a,b->c]", None),
+    ("EQ14", "L[a|>(b->c),b|>c] = L[a,b]", None),
+    ("EQ15", "L[a,b] = L[a,b<-c]", None),
+    ("EQ16", "L[a,b]*L[a.b,c] = L[b,c]*L[a,b.c]", None),
+    ("eq17", "a|>b = a|>(b.c)", "EQ11"),
+    ("eq18", "(a->b).c = a->(b.c)", "EQ11"),
+    ("eq19", "(a<|b).((a<-b)<|c) = a<|(b.c)", "EQ12"),
+    ("eq20", "(a<-b)<-c = a<-(b.c)", "EQ12"),
+    ("eq21", "a->(b->c) = (a.b)->c", "EQ14"),
+    ("eq22", "(a|>(b->c)).(b|>c) = (a.b)|>c", "EQ14"),
+    ("eq23", "(a<-b).c = a.(b->c)", "EQ13"),
+    ("eq24", "a<|b = b|>c", "EQ13"),
+    ("eq25", "(a.b)<|c = b<|c", "EQ15"),
+    ("eq26", "(a.b)<-c = a.(b<-c)", "EQ15"),
+    ("eq27", "(a.b).c = a.(b.c)", "EQ16"),
+    ("EQ17", "(a->b)*c = b*c", None),
+    ("EQ20", "(a<|b)*((a<-b)<|c) = b*c", None),
+    ("EQ23", "(a|>(b->c))*(b|>c) = a*b", None),
+    ("EQ26", "(a<-b)*c = a*(b->c)", None),
+    ("EQ29", "a*b = a*(b<-c)", None),
+    ("EQ32", "a*b = a*(b.c)", None),
+    ("EQ33", "(a.b)*c = b*c", None),
+)
+
+EQUATION_TEXT = {tag: text for tag, text, _ in POINTWISE_EQUATIONS} | {
     "eds1": "(tau x id)(id x phiL)(tau x id)(phiR x id) = (phiR x id)(id x phiL)",
     "eds2": "(id x phiL)(tau x id)(id x phiL)(tau x id)(phiL x id) = (phiL x id)(id x phiL)",
     "eds3": "(id x phiR)(tau x id)(id x phiL)(tau x id)(phiL x id) = (phiL x id)(id x phiR)",
@@ -350,75 +358,190 @@ EQUATION_TEXT = {
     "dend3": "u >_a (v >_b w) = (u >_{a|>b} v) >_{a->b} w + (u <_{a<|b} v) >_{a<-b} w",
 }
 
+# level: (the level it extends, its tables in the argument order of its
+# scanner and filter, the tags of its own rows in report order)
+LEVELS = {
+    "diassoc": (None, ("left", "right"), ("dia1", "dia2", "dia3", "dia4", "dia5")),
+    "eds": ("diassoc", ("left", "right", "lhd", "rhd"), tuple(f"EQ{k}" for k in range(1, 11))),
+    "lambda-ets": ("eds", ("left", "right", "lhd", "rhd", "dot", "lam"),
+                   tuple(f"EQ{k}" for k in range(11, 17)) + tuple(f"eq{k}" for k in range(17, 28))),
+    "ets": ("eds", ("left", "right", "lhd", "rhd", "star", "dot"),
+            ("EQ17", "eq18", "eq17", "EQ20", "eq19", "eq20", "EQ23", "eq21", "eq22", "EQ26",
+             "eq23", "eq24", "EQ29", "eq25", "eq26", "EQ32", "EQ33", "eq27")),
+}
+
+# pointwise tags bundled by each map identity (verdict-equivalent groups)
+MAP_TO_POINTWISE_TAGS = {
+    "eds1": ("dia3", "EQ1", "EQ2"),
+    "eds2": ("dia1", "EQ3", "EQ4"),
+    "eds3": ("dia2", "EQ5", "EQ6"),
+    "eds4": ("dia4", "EQ7", "EQ8"),
+    "eds5": ("dia5", "EQ9", "EQ10"),
+    "equ1": ("EQ11", "eq17", "eq18"),
+    "equ2": ("EQ12", "eq19", "eq20"),
+    "equ3": ("EQ14", "eq21", "eq22"),
+    "equ4": ("EQ13", "eq23", "eq24"),
+    "equ5": ("EQ15", "eq25", "eq26"),
+    "equ6": ("EQ16", "eq27"),
+}
+
+ETS_MAP_TO_POINTWISE_TAGS = {
+    "eds1": ("dia3", "EQ1", "EQ2"),
+    "eds2": ("dia1", "EQ3", "EQ4"),
+    "eds3": ("dia2", "EQ5", "EQ6"),
+    "eds4": ("dia4", "EQ7", "EQ8"),
+    "eds5": ("dia5", "EQ9", "EQ10"),
+    "equu1": ("EQ17", "eq18", "eq17"),
+    "equu2": ("EQ20", "eq19", "eq20"),
+    "equu3": ("EQ23", "eq21", "eq22"),
+    "equu4": ("EQ26", "eq23", "eq24"),
+    "equu5": ("EQ29", "eq25", "eq26"),
+    "equu6": ("EQ32", "EQ33", "eq27"),
+}
+
+
+_SYMBOLS = {"<-": "left", "->": "right", "<|": "lhd", "|>": "rhd", ".": "dot", "*": "star"}
+_TOKEN = re.compile(r"<-|->|<\||\|>|\S")
+
+
+def _is_weight(term) -> bool:
+    return type(term) is tuple and term[0] in ("lam", "mul")
+
+
+def parse_equation(text: str):
+    """The (lhs, rhs) terms of a pointwise row.  A term is a variable "a",
+    "b" or "c", or a node (name, x, y): name is a table field for x op y,
+    "lam" for L[x,y] and "mul" for the product of two weights."""
+    tokens = [None] + _TOKEN.findall(text)[::-1]  # a stack, None at the end
+
+    def take(*expected):
+        if tokens[-1] not in expected:
+            raise ValueError(f"{text!r}: expected one of {expected}, got {tokens[-1]!r}")
+        return tokens.pop()
+
+    def atom():
+        tok = take("a", "b", "c", "(", "L")
+        if tok == "(":
+            return term(")")
+        if tok == "L":
+            take("[")
+            x, y = term(","), term("]")
+            if _is_weight(x) or _is_weight(y):
+                raise ValueError(f"{text!r}: L[x,y] takes two carrier terms")
+            return ("lam", x, y)
+        return tok
+
+    def term(end):
+        x = atom()
+        if tokens[-1] in _SYMBOLS:
+            name, y = _SYMBOLS[tokens.pop()], atom()
+            if _is_weight(x) or _is_weight(y):
+                if not (_is_weight(x) and _is_weight(y) and name == "star"):
+                    raise ValueError(f"{text!r}: weights only multiply weights, by *")
+                name = "mul"
+            x = (name, x, y)
+        take(end)
+        return x
+
+    lhs, rhs = term("="), term(None)
+    if _is_weight(lhs) != _is_weight(rhs):
+        raise ValueError(f"{text!r}: a weight equated with a carrier term")
+    return lhs, rhs
+
+
+@lru_cache(maxsize=None)
+def _level_tags(level: str) -> tuple:
+    """Every tag the level checks, in report order: the levels it extends first."""
+    base, _, own = LEVELS[level]
+    return (_level_tags(base) if base else ()) + own
+
+
+@lru_cache(maxsize=None)
+def _compiled(level: str, mode: str):
+    """The level's report scanner (every row of the level and the levels it
+    extends; hit(tag, witness) per violated row and triple, in lexicographic
+    order) or early-exit filter (its own rows; True when all hold), compiled
+    from one generated triple loop over the level's tables.  A subterm used
+    more than once is bound to a local at its first use (inside a guarded
+    block, for that block only), as is the weight side of a guard."""
+    report = mode == "report"
+    tags = _level_tags(level) if report else LEVELS[level][2]
+    rows = {tag: (parse_equation(text), guard) for tag, text, guard in POINTWISE_EQUATIONS
+            if tag in tags}
+    guarded = {g: [tag for tag in tags if rows[tag][1] == g] for g in tags}
+    uses = Counter()
+
+    def tally(t):
+        uses[t] += 1
+        if uses[t] == 1 and type(t) is tuple:
+            tally(t[1])
+            tally(t[2])
+
+    for tag in tags:
+        lhs, rhs = rows[tag][0]
+        tally(lhs)
+        tally(rhs)
+        uses[lhs] += bool(guarded[tag])
+    lines, fresh = [], count()
+
+    def code(t, bound):
+        if type(t) is str or t in bound:
+            return bound.get(t, t)
+        x, y = code(t[1], bound), code(t[2], bound)
+        expr = f"{x} * {y}" if t[0] == "mul" else f"{t[0]}[{x}][{y}]"
+        if uses[t] < 2:
+            return expr
+        bound[t] = f"t{next(fresh)}"
+        return f"({bound[t]} := {expr})"
+
+    def emit(tag, pad, bound):
+        lhs, rhs = rows[tag][0]
+        lines.append(f"{pad}if {code(lhs, bound)} != {code(rhs, bound)}:")
+        lines.append(pad + (f"    hit({tag!r}, (a, b, c))" if report else "    return False"))
+        if guarded[tag]:
+            lines.append(f"{pad}elif {code(lhs, bound)}:")
+            inner = dict(bound)
+            for row in guarded[tag]:
+                emit(row, pad + "    ", inner)
+
+    bound = {}
+    for tag in tags:
+        if rows[tag][1] not in rows:
+            emit(tag, " " * 16, bound)
+    args = ", ".join(LEVELS[level][1] + (("hit",) if report else ()))
+    source = "\n".join([f"def scan({args}):", "    rng = range(len(left))", "    for a in rng:",
+                        "        for b in rng:", "            for c in rng:"] + lines
+                       + ([] if report else ["    return True"]))
+    namespace = {}
+    exec(compile(source, f"<pointwise {level} {mode}>", "exec"), namespace)
+    return namespace["scan"]
+
+
+def pointwise_filter(level: str):
+    """The early-exit filter of the level's own rows, not those of the levels
+    it extends: True when they hold at every triple of the level's tables."""
+    return _compiled(level, "filter")
+
+
+def _scan(s: OmegaStructure, level: str, rows: str | None = None) -> AxiomReport:
+    # rows: the level whose rows are scanned, when it is not ``level`` itself
+    rows = rows or level
+    col = _Collector()
+    tables = (s.lam if f == "lam" else getattr(s, f).rows for f in LEVELS[rows][1])
+    _compiled(rows, "report")(*tables, col.hit)
+    return col.report(level, _level_tags(level))
+
 
 # ---------------------------------------------------------------------------
 # Pointwise checkers
 
-DIA_TAGS = ("dia1", "dia2", "dia3", "dia4", "dia5")
-EDS_TAGS = DIA_TAGS + tuple(f"EQ{k}" for k in range(1, 11))
-LAM_TAGS = tuple(f"EQ{k}" for k in range(11, 17))
-COND_TAGS = tuple(f"eq{k}" for k in range(17, 28))
-STAR_TAGS = ("EQ17", "EQ20", "EQ23", "EQ26", "EQ29", "EQ32", "EQ33")
-
-
-def _scan_dia(L, R, n, col):
-    rng = range(n)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                if L[L[i][j]][k] != L[i][L[j][k]]:
-                    col.hit("dia1", (i, j, k))
-                if L[L[i][j]][k] != L[i][R[j][k]]:
-                    col.hit("dia2", (i, j, k))
-                if L[R[i][j]][k] != R[i][L[j][k]]:
-                    col.hit("dia3", (i, j, k))
-                if R[L[i][j]][k] != R[i][R[j][k]]:
-                    col.hit("dia4", (i, j, k))
-                if R[R[i][j]][k] != R[i][R[j][k]]:
-                    col.hit("dia5", (i, j, k))
-
-
-def _scan_eds(L, R, Lh, Rh, n, col):
-    _scan_dia(L, R, n, col)
-    rng = range(n)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                u = Lh[L[i][j]][k]   # (a<-b)<|c
-                v = Rh[i][R[j][k]]   # a|>(b->c)
-                w = Rh[j][k]         # b|>c
-                if Rh[i][L[j][k]] != Rh[i][j]:
-                    col.hit("EQ1", (i, j, k))
-                if Lh[R[i][j]][k] != Lh[j][k]:
-                    col.hit("EQ2", (i, j, k))
-                if L[Lh[i][j]][u] != Lh[i][L[j][k]]:
-                    col.hit("EQ3", (i, j, k))
-                if Lh[Lh[i][j]][u] != Lh[j][k]:
-                    col.hit("EQ4", (i, j, k))
-                if R[Lh[i][j]][u] != Lh[i][R[j][k]]:
-                    col.hit("EQ5", (i, j, k))
-                if Rh[Lh[i][j]][u] != Rh[j][k]:
-                    col.hit("EQ6", (i, j, k))
-                if L[v][w] != Rh[L[i][j]][k]:
-                    col.hit("EQ7", (i, j, k))
-                if Lh[v][w] != Lh[i][j]:
-                    col.hit("EQ8", (i, j, k))
-                if R[v][w] != Rh[R[i][j]][k]:
-                    col.hit("EQ9", (i, j, k))
-                if Rh[v][w] != Rh[i][j]:
-                    col.hit("EQ10", (i, j, k))
-
 
 def check_diassociative(s: OmegaStructure) -> AxiomReport:
-    col = _Collector()
-    _scan_dia(s.left.rows, s.right.rows, s.size, col)
-    return col.report("diassoc", DIA_TAGS)
+    return _scan(s, "diassoc")
 
 
 def check_eds(s: OmegaStructure) -> AxiomReport:
-    col = _Collector()
-    _scan_eds(s.left.rows, s.right.rows, s.lhd.rows, s.rhd.rows, s.size, col)
-    return col.report("eds", EDS_TAGS)
+    return _scan(s, "eds")
 
 
 def check_lambda_ets(s: OmegaStructure) -> AxiomReport:
@@ -435,129 +558,16 @@ def check_lambda_ets(s: OmegaStructure) -> AxiomReport:
         )
     if not s.has_strict_weight and not s.weight_zero:
         raise StructureError("lambda-ETS check requires dot and lambda tables")
-    col = _Collector()
-    n = s.size
-    L, R, Lh, Rh = s.left.rows, s.right.rows, s.lhd.rows, s.rhd.rows
-    _scan_eds(L, R, Lh, Rh, n, col)
-    if s.weight_zero:
-        # weight-0 mode: the weight table is identically zero, all six weight
-        # identities and every conditional guard degenerate.
-        return col.report("lambda-ets", EDS_TAGS + LAM_TAGS + COND_TAGS)
-    D = s.dot.rows
-    lam = s.lam
-    rng = range(n)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                u = Lh[L[i][j]][k]
-                v = Rh[i][R[j][k]]
-                w = Rh[j][k]
-                # EQ11 + conditional pair (eq17, eq18)
-                if lam[R[i][j]][k] != lam[j][k]:
-                    col.hit("EQ11", (i, j, k))
-                elif lam[j][k]:
-                    if Rh[i][j] != Rh[i][D[j][k]]:
-                        col.hit("eq17", (i, j, k))
-                    if D[R[i][j]][k] != R[i][D[j][k]]:
-                        col.hit("eq18", (i, j, k))
-                # EQ12 + (eq19, eq20)
-                if lam[Lh[i][j]][u] != lam[j][k]:
-                    col.hit("EQ12", (i, j, k))
-                elif lam[j][k]:
-                    if D[Lh[i][j]][u] != Lh[i][D[j][k]]:
-                        col.hit("eq19", (i, j, k))
-                    if L[L[i][j]][k] != L[i][D[j][k]]:
-                        col.hit("eq20", (i, j, k))
-                # EQ13 + (eq23, eq24)
-                if lam[L[i][j]][k] != lam[i][R[j][k]]:
-                    col.hit("EQ13", (i, j, k))
-                elif lam[L[i][j]][k]:
-                    if D[L[i][j]][k] != D[i][R[j][k]]:
-                        col.hit("eq23", (i, j, k))
-                    if Lh[i][j] != Rh[j][k]:
-                        col.hit("eq24", (i, j, k))
-                # EQ14 + (eq21, eq22)
-                if lam[v][w] != lam[i][j]:
-                    col.hit("EQ14", (i, j, k))
-                elif lam[i][j]:
-                    if R[i][R[j][k]] != R[D[i][j]][k]:
-                        col.hit("eq21", (i, j, k))
-                    if D[v][w] != Rh[D[i][j]][k]:
-                        col.hit("eq22", (i, j, k))
-                # EQ15 + (eq25, eq26)
-                if lam[i][j] != lam[i][L[j][k]]:
-                    col.hit("EQ15", (i, j, k))
-                elif lam[i][j]:
-                    if Lh[D[i][j]][k] != Lh[j][k]:
-                        col.hit("eq25", (i, j, k))
-                    if L[D[i][j]][k] != D[i][L[j][k]]:
-                        col.hit("eq26", (i, j, k))
-                # EQ16 + (eq27)
-                p = lam[i][j] * lam[D[i][j]][k]
-                if p != lam[j][k] * lam[i][D[j][k]]:
-                    col.hit("EQ16", (i, j, k))
-                elif p:
-                    if D[D[i][j]][k] != D[i][D[j][k]]:
-                        col.hit("eq27", (i, j, k))
-    return col.report("lambda-ets", EDS_TAGS + LAM_TAGS + COND_TAGS)
+    # weight-0 mode: the weight table is identically zero, all six weight
+    # identities hold and every conditional guard is zero
+    return _scan(s, "lambda-ets", "eds" if s.weight_zero else None)
 
 
 def check_ets(s: OmegaStructure) -> AxiomReport:
     """EDS axioms plus all eighteen displayed identities, unconditional."""
     if s.dot is None or s.star is None:
         raise StructureError("ETS check requires dot and star tables")
-    col = _Collector()
-    n = s.size
-    L, R, Lh, Rh = s.left.rows, s.right.rows, s.lhd.rows, s.rhd.rows
-    D, S = s.dot.rows, s.star.rows
-    _scan_eds(L, R, Lh, Rh, n, col)
-    rng = range(n)
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                u = Lh[L[i][j]][k]
-                v = Rh[i][R[j][k]]
-                w = Rh[j][k]
-                if S[R[i][j]][k] != S[j][k]:
-                    col.hit("EQ17", (i, j, k))
-                if D[R[i][j]][k] != R[i][D[j][k]]:
-                    col.hit("eq18", (i, j, k))
-                if Rh[i][j] != Rh[i][D[j][k]]:
-                    col.hit("eq17", (i, j, k))
-                if S[Lh[i][j]][u] != S[j][k]:
-                    col.hit("EQ20", (i, j, k))
-                if D[Lh[i][j]][u] != Lh[i][D[j][k]]:
-                    col.hit("eq19", (i, j, k))
-                if L[L[i][j]][k] != L[i][D[j][k]]:
-                    col.hit("eq20", (i, j, k))
-                if S[v][w] != S[i][j]:
-                    col.hit("EQ23", (i, j, k))
-                if R[i][R[j][k]] != R[D[i][j]][k]:
-                    col.hit("eq21", (i, j, k))
-                if D[v][w] != Rh[D[i][j]][k]:
-                    col.hit("eq22", (i, j, k))
-                if S[L[i][j]][k] != S[i][R[j][k]]:
-                    col.hit("EQ26", (i, j, k))
-                if D[L[i][j]][k] != D[i][R[j][k]]:
-                    col.hit("eq23", (i, j, k))
-                if Lh[i][j] != Rh[j][k]:
-                    col.hit("eq24", (i, j, k))
-                if S[i][j] != S[i][L[j][k]]:
-                    col.hit("EQ29", (i, j, k))
-                if Lh[D[i][j]][k] != Lh[j][k]:
-                    col.hit("eq25", (i, j, k))
-                if L[D[i][j]][k] != D[i][L[j][k]]:
-                    col.hit("eq26", (i, j, k))
-                if S[i][j] != S[i][D[j][k]]:
-                    col.hit("EQ32", (i, j, k))
-                if S[D[i][j]][k] != S[j][k]:
-                    col.hit("EQ33", (i, j, k))
-                if D[D[i][j]][k] != D[i][D[j][k]]:
-                    col.hit("eq27", (i, j, k))
-    order = EDS_TAGS + ("EQ17", "eq18", "eq17", "EQ20", "eq19", "eq20", "EQ23",
-                        "eq21", "eq22", "EQ26", "eq23", "eq24", "EQ29", "eq25",
-                        "eq26", "EQ32", "EQ33", "eq27")
-    return col.report("ets", order)
+    return _scan(s, "ets")
 
 
 # ---------------------------------------------------------------------------
@@ -615,35 +625,6 @@ _MAPS_STAR_PIPELINES = (
     ("equu6", (("phi_s", 0), ("tau", 1), ("phi_s", 0)),
               (("phi_s", 1), ("phi_s", 0), ("tau", 1))),
 )
-
-# pointwise tags bundled by each map identity (verdict-equivalent groups)
-MAP_TO_POINTWISE_TAGS = {
-    "eds1": ("dia3", "EQ1", "EQ2"),
-    "eds2": ("dia1", "EQ3", "EQ4"),
-    "eds3": ("dia2", "EQ5", "EQ6"),
-    "eds4": ("dia4", "EQ7", "EQ8"),
-    "eds5": ("dia5", "EQ9", "EQ10"),
-    "equ1": ("EQ11", "eq17", "eq18"),
-    "equ2": ("EQ12", "eq19", "eq20"),
-    "equ3": ("EQ14", "eq21", "eq22"),
-    "equ4": ("EQ13", "eq23", "eq24"),
-    "equ5": ("EQ15", "eq25", "eq26"),
-    "equ6": ("EQ16", "eq27"),
-}
-
-ETS_MAP_TO_POINTWISE_TAGS = {
-    "eds1": ("dia3", "EQ1", "EQ2"),
-    "eds2": ("dia1", "EQ3", "EQ4"),
-    "eds3": ("dia2", "EQ5", "EQ6"),
-    "eds4": ("dia4", "EQ7", "EQ8"),
-    "eds5": ("dia5", "EQ9", "EQ10"),
-    "equu1": ("EQ17", "eq18", "eq17"),
-    "equu2": ("EQ20", "eq19", "eq20"),
-    "equu3": ("EQ23", "eq21", "eq22"),
-    "equu4": ("EQ26", "eq23", "eq24"),
-    "equu5": ("EQ29", "eq25", "eq26"),
-    "equu6": ("EQ32", "EQ33", "eq27"),
-}
 
 
 def _gather(table, idx) -> tuple:

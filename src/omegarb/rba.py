@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .omega import AxiomReport, StructureError, Violation
+from .omega import AxiomReport, StructureError, Violation, _Collector
 from .scalars import FormalSum
 from . import trees as _trees
 
@@ -94,13 +94,7 @@ def check_dendriform(view: DendriformView, triples) -> AxiomReport:
     """Scan the three identities over all operation pairs and given triples."""
     om = view.omega
     prec, succ = view.prec, view.succ
-    firsts = {}
-    counts = {}
-
-    def hit(tag, witness):
-        counts[tag] = counts.get(tag, 0) + 1
-        firsts.setdefault(tag, witness)
-
+    col = _Collector()
     for idx, (a, b, c) in enumerate(triples):
         for al in range(om.size):
             for be in range(om.size):
@@ -109,20 +103,16 @@ def check_dendriform(view: DendriformView, triples) -> AxiomReport:
                     om.left(al, be), a, prec(om.lhd(al, be), b, c)
                 )
                 if lhs != rhs:
-                    hit("dend1", (al, be, idx))
+                    col.hit("dend1", (al, be, idx))
                 if prec(be, succ(al, a, b), c) != succ(al, a, prec(be, b, c)):
-                    hit("dend2", (al, be, idx))
+                    col.hit("dend2", (al, be, idx))
                 lhs3 = succ(al, a, succ(be, b, c))
                 rhs3 = succ(om.right(al, be), succ(om.rhd(al, be), a, b), c) + succ(
                     om.left(al, be), prec(om.lhd(al, be), a, b), c
                 )
                 if lhs3 != rhs3:
-                    hit("dend3", (al, be, idx))
-    report = AxiomReport("dendriform")
-    for tag in ("dend1", "dend2", "dend3"):
-        if tag in counts:
-            report.violations.append(Violation(tag, firsts[tag], counts[tag]))
-    return report
+                    col.hit("dend3", (al, be, idx))
+    return col.report("dendriform", ("dend1", "dend2", "dend3"))
 
 
 def tree_samples(omega_size: int, alphabet=("x", "y"), count: int = 8, seed: int = 0):

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+import pointwise_oracle as oracle
 from omegarb import classify
 from omegarb.classify import (
     DEFAULT_SAMPLES,
@@ -22,7 +24,9 @@ from omegarb.omega import (
     check_ets_maps_level,
     check_lambda_ets,
     check_maps_level,
+    pointwise_filter,
 )
+from omegarb.omega import _level_tags
 from omegarb.tables import ETS_ROWS, F3_ROW, LETS_ROWS, TBL, lets_row, op
 
 
@@ -99,6 +103,55 @@ def test_h_row_product_is_forced_to_the_group_table():
     h = TBL("abba")
     dots = {tabs[5] for tabs in ets.raw if tabs[0] == h and tabs[1] == h}
     assert dots == {h}
+
+
+def test_filters_match_the_oracle_at_sizes_one_to_three():
+    """The compiled early-exit filters give the hand-written verdicts: every
+    (left, right) pair and sampled extensions at n = 1 and 2, seeded random
+    and near-passing candidates at n = 3."""
+    dia_ok, eds_ok, ets_ok = (pointwise_filter(level) for level in ("diassoc", "eds", "ets"))
+    lam_ok = pointwise_filter("lambda-ets")
+    own_lam_tags = set(_level_tags("lambda-ets")) - set(_level_tags("eds"))
+    rng = random.Random(31)
+    seen = set()
+    for n in (1, 2, 3):
+        tabs = classify.all_op_rows(n) if n < 3 else [
+            tuple(tuple(rng.randrange(3) for _ in range(3)) for _ in range(3)) for _ in range(40)]
+        z3 = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        const = ((0,) * 3,) * 3
+        pairs = [(L, R) for L in tabs for R in tabs] + ([(z3, z3)] if n == 3 else [])
+        for L, R in pairs:
+            verdict = dia_ok(L, R)
+            assert verdict == oracle.dia_ok(L, R, n)
+            seen.add(("diassoc", verdict))
+            if not verdict and rng.random() < 0.9:
+                continue
+            for _ in range(6):
+                Lh, Rh = rng.choice(tabs), rng.choice(tabs)
+                if n == 3 and rng.random() < 0.3:
+                    Lh = Rh = const
+                verdict = eds_ok(L, R, Lh, Rh)
+                assert verdict == oracle.eds_extra_ok(L, R, Lh, Rh, n)
+                seen.add(("eds", verdict))
+                for _ in range(3 if verdict else 1):
+                    S, D = rng.choice(tabs), rng.choice(tabs)
+                    if n == 3 and rng.random() < 0.3:
+                        S, D = const, z3
+                    verdict = ets_ok(L, R, Lh, Rh, S, D)
+                    assert verdict == oracle.ets_extra_ok(L, R, Lh, Rh, S, D, n)
+                    seen.add(("ets", verdict))
+                    w = rng.choice((0, 1, -1, Fraction(1, 2), 2))
+                    lam = tuple((w if rng.random() < 0.8 else rng.choice((0, 2)),) * n
+                                for _ in range(n))
+                    s = OmegaStructure(size=n, labels=tuple("abc"[:n]), left=OpTable(L),
+                                       right=OpTable(R), lhd=OpTable(Lh), rhd=OpTable(Rh),
+                                       dot=OpTable(D), lam=lam)
+                    _, rows = oracle.check_lambda_ets(s)
+                    verdict = lam_ok(L, R, Lh, Rh, D, lam)
+                    assert verdict == own_lam_tags.isdisjoint(tag for tag, _, _ in rows)
+                    seen.add(("lambda-ets", verdict))
+    assert seen == {(level, v) for level in ("diassoc", "eds", "ets", "lambda-ets")
+                    for v in (True, False)}
 
 
 def test_associative_tables_count():

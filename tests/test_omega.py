@@ -2,8 +2,11 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
+
+import pointwise_oracle as oracle
 
 from omegarb import omega as om
 from omegarb.classify import enumerate_level
@@ -175,6 +178,16 @@ def test_maps_level_agrees_on_strict_structures():
         example_weight_zero(struct("aaaa", "aaaa", "abab", "aabb"), op("abba")),
     ):
         assert check_lambda_ets(s).ok == check_maps_level(s).ok is True
+
+
+def test_strict_weight_cells_are_canonical():
+    # psi_map of a strict structure: lam[i][j]*(i.j), an int coefficient when
+    # integral, a Fraction otherwise, and no term at weight zero
+    lam = ((Fraction(2), Fraction(1, 2)), (Fraction(0), Fraction(-3)))
+    s = struct("aabb", "abab", "abab", "aabb", dot="abba", lam=lam)
+    cells = [s.psi_map(i, j)._terms for i in range(2) for j in range(2)]
+    assert cells == [{0: 2}, {1: Fraction(1, 2)}, {}, {0: -3}]
+    assert [type(c) for cell in cells for c in cell.values()] == [int, Fraction, int]
 
 
 def test_maps_level_generalized_row():
@@ -439,6 +452,117 @@ def test_ets_maps_engine_matches_reference_at_sizes_one_and_three(n):
     for s in cases:
         assert_same_report(check_ets_maps_level(s), "ets-maps",
                            reference_report(s, ETS_MAPS_PIPELINES))
+
+
+# -- pointwise checkers: the equation table and the hand-written oracle --------
+
+
+def test_every_pointwise_row_parses_and_every_bundled_tag_is_a_row():
+    tags = [tag for tag, _, _ in om.POINTWISE_EQUATIONS]
+    assert len(tags) == len(set(tags))
+    for tag, text, guard in om.POINTWISE_EQUATIONS:
+        om.parse_equation(text)
+        assert om.EQUATION_TEXT[tag] == text
+        if guard is not None:
+            # a guard is a weight identity of the table
+            assert guard in tags
+            assert om.parse_equation(om.EQUATION_TEXT[guard])[0][0] in ("lam", "mul")
+    bundled = {t for m in (om.MAP_TO_POINTWISE_TAGS, om.ETS_MAP_TO_POINTWISE_TAGS)
+               for group in m.values() for t in group}
+    assert bundled <= set(tags)
+    assert {t for level in om.LEVELS for t in om._level_tags(level)} == set(tags)
+    # * is the star table between carrier terms and the scalar product
+    # between weights
+    assert om.parse_equation("(a.b)*c = b*c") == (("star", ("dot", "a", "b"), "c"),
+                                                  ("star", "b", "c"))
+    assert om.parse_equation("L[a,b]*L[b,c] = L[a,c]")[0] == (
+        "mul", ("lam", "a", "b"), ("lam", "b", "c"))
+
+
+@pytest.mark.parametrize("text", ["a<-b<-c = a", "L[a,b]*c = c", "L[a,b] = a",
+                                  "L[a,b].L[b,c] = L[a,c]", "L[L[a,b],c] = L[a,c]",
+                                  "(a<-b = a", "a<-d = a", "a<-b", "a = b = c"])
+def test_malformed_rows_do_not_parse(text):
+    with pytest.raises(ValueError):
+        om.parse_equation(text)
+
+
+ORACLE_WEIGHTS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2))
+
+
+def oracle_structures(n, rng, count, eds_rows=()):
+    """Seeded strict structures on n elements with dot, star and lambda.
+
+    The four side tables are arbitrary, the projection tables (an EDS) or,
+    when given, one of ``eds_rows``.  Lambda is constant (every weight
+    identity holds, so every guard is live where nonzero) or has random
+    cells from ORACLE_WEIGHTS (guards hold at some triples only).
+    """
+    rows = tuple(range(n))
+    first = tuple((a,) * n for a in rows)
+    second = (rows,) * n
+
+    def table():
+        return tuple(tuple(rng.randrange(n) for _ in rows) for _ in rows)
+
+    out = []
+    for k in range(count):
+        kind = k % 3
+        if kind == 0 or kind == 2 and not eds_rows:
+            tabs = [table() for _ in range(4)]
+        elif kind == 1:
+            tabs = [first, second, second, first]
+        else:
+            tabs = list(rng.choice(eds_rows))
+        if rng.random() < 0.5:
+            w = rng.choice(ORACLE_WEIGHTS)
+            lam = tuple((w,) * n for _ in rows)
+        else:
+            lam = tuple(tuple(rng.choice(ORACLE_WEIGHTS) for _ in rows) for _ in rows)
+        out.append(OmegaStructure(
+            size=n, labels=tuple("abcdefgh"[:n]), dot=OpTable(table()), star=OpTable(table()),
+            lam=lam, **dict(zip(("left", "right", "lhd", "rhd"), map(OpTable, tabs)))))
+    return out
+
+
+def outcome(check, s):
+    """(level, [(tag, witness, count)]) of a report, or the checker's error."""
+    try:
+        rep = check(s)
+    except StructureError as exc:
+        return "error", str(exc)
+    if isinstance(rep, tuple):
+        return rep
+    return rep.level, [(v.tag, v.witness, v.count) for v in rep.violations]
+
+
+def assert_matches_oracle(s):
+    for check, reference in ((check_diassociative, oracle.check_diassociative),
+                             (check_eds, oracle.check_eds),
+                             (check_lambda_ets, oracle.check_lambda_ets),
+                             (check_ets, oracle.check_ets)):
+        for t in (s, replace(s, weight_zero=True)) if check is check_lambda_ets else (s,):
+            assert outcome(check, t) == outcome(reference, t)
+
+
+@pytest.mark.parametrize("n, count", [(1, 12), (2, 240), (3, 60)])
+def test_pointwise_checkers_match_the_oracle(n, count, eds_reps):
+    rng = random.Random(900 + n)
+    cases = oracle_structures(n, rng, count, eds_reps if n == 2 else ())
+    if n == 2:
+        cases += [s for _, s in ets_fixture_structures()]
+        cases += [example_semigroup(XOR, Fraction(1, 2)), example_matching([1, 2]),
+                  example_abelian_group(XOR, -1)]
+    if n == 3:
+        good = example_semigroup(Z3, 2)
+        cases += [good, example_abelian_group(Z3, Fraction(1, 2)), example_matching([1, -1, 2])]
+        cases += [with_one_cell_changed(good, name) for name in ("left", "rhd", "dot")]
+        cases.append(parse_structure(
+            (Path(__file__).parent.parent / "sample_inputs" / "all_layers_fail.txt").read_text()))
+    fails = {tag for s in cases if s.lam for tag in check_lambda_ets(s).failed_tags()}
+    assert n == 1 or fails >= set(om._level_tags("lambda-ets"))
+    for s in cases:
+        assert_matches_oracle(s)
 
 
 # -- opposite and commutativity ---------------------------------------------

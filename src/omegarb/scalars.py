@@ -13,10 +13,23 @@ A :class:`FormalSum` is a finite linear combination of hashable basis
 elements with nonzero coefficients in that canonical form; the zero element
 is the empty sum.  :func:`accumulate` is the one step that adds scaled terms
 into a coefficient dict and keeps it canonical; sums, scalings and
-relabelings go through it.  The tree and word products work on integer
+``map_basis`` go through it.  The tree and word products work on integer
 numerators instead: :func:`graded_product` is the bilinear extension of a
 graded integer kernel, with ints in its inner loop and one exact division
 per output term (:func:`graded_sum`).
+
+A sum made by :func:`graded_sum` (every product output and every cached
+``diamond_basis`` sum) keeps the graded numerators it was divided from,
+unless they are its coefficients already (D = D_A = 1 and integral
+operands).  This *lift* is ``((grade, D, D_A, base, top), numerators)``:
+the coefficient of ``b`` is ``numerators[b] / (base * D**(top - grade(b))
+* D_A**(grade(b) + 1))``.  The key alone fixes what a numerator means,
+whichever algebra made it, so a lift is read only where its key matches:
+:func:`graded_product` takes an operand's numerators as they are when the
+key has the product's grade, D and D_A, and two sums with the same key
+compare their int numerator dicts, with no Fraction.
+:func:`graded_relabel` (grafting a tree, prefixing a word) carries a lift
+over.  Every other operation returns a sum without one.
 """
 
 from __future__ import annotations
@@ -84,13 +97,18 @@ class FormalSum:
     """A finite map basis -> nonzero Scalar, in canonical form.
 
     Instances are immutable; arithmetic returns new sums. Iteration yields
-    (basis, coefficient) pairs in the canonical basis order.
+    (basis, coefficient) pairs in the canonical basis order.  ``_terms`` is
+    the canonical coefficient dict that every reader sees.  ``_lift`` is the
+    graded lift a product left on its output (see the module docstring), or
+    None; equality of two sums whose lifts have the same key compares their
+    int numerators, and otherwise their terms.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_lift")
 
     def __init__(self, terms: Mapping | Iterable | None = None):
         self._terms = {}
+        self._lift = None
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
             accumulate(self._terms, ((b, _exact(c)) for b, c in items if c))
@@ -106,10 +124,12 @@ class FormalSum:
         return cls._raw(accumulate({}, ((basis, Fraction(coeff)),)))
 
     @classmethod
-    def _raw(cls, terms: dict) -> "FormalSum":
-        # internal: terms must already be canonical (no zeros, integral as int)
+    def _raw(cls, terms: dict, lift: tuple | None = None) -> "FormalSum":
+        # internal: terms must already be canonical (no zeros, integral as
+        # int), and a lift must give exactly these terms
         out = cls.__new__(cls)
         out._terms = terms
+        out._lift = lift
         return out
 
     def items(self) -> list:
@@ -136,6 +156,10 @@ class FormalSum:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalSum):
             return NotImplemented
+        a, b = self._lift, other._lift
+        if a is not None and b is not None and a[0] == b[0]:
+            # one key, one meaning: equal numerators are equal coefficients
+            return a[1] == b[1]
         return self._terms == other._terms
 
     def __hash__(self) -> int:
@@ -202,9 +226,9 @@ def bilinear_extend(fn: Callable[[object, object], FormalSum]):
     return extended
 
 
-def graded_product(x: dict, y: dict, kernel: Callable, grade: Callable, d: int = 1,
-                   d_alg: int = 1) -> FormalSum:
-    """The product of two coefficient dicts through a graded integer kernel.
+def graded_product(x: FormalSum, y: FormalSum, kernel: Callable, grade: Callable,
+                   d: int = 1, d_alg: int = 1) -> FormalSum:
+    """The product of two sums through a graded integer kernel.
 
     ``kernel(bx, by)`` returns a dict {basis: n} of nonzero int numerators
     for the product of two basis elements: the coefficient of ``basis`` is
@@ -212,20 +236,22 @@ def graded_product(x: dict, y: dict, kernel: Callable, grade: Callable, d: int =
     ``g = grade(bx) + grade(by) - grade(basis)`` (``d_alg`` is 1 unless the
     kernel also scales by structure constants).  Each operand is brought to
     one common denominator and lifted to its top grade (see
-    :func:`_numerators`), so the inner loop adds ints only, and each output
-    term takes one exact division.
+    :func:`_operand`), so the inner loop adds ints only, and each output
+    term takes one exact division.  The output carries its lift, unless
+    the numerators are its coefficients (d, d_alg and U all 1).
     """
-    if not x or not y:
+    xt, yt = x._terms, y._terms
+    if not xt or not yt:
         return FormalSum._raw({})
-    # the common integral case inline, the rest through _numerators
-    if d == 1 and Fraction not in map(type, x.values()):
-        ux, tx, xs = 1, 0, x.items()
+    # the common integral case inline, the rest through _operand
+    if d == 1 and Fraction not in map(type, xt.values()):
+        ux, tx, xs = 1, 0, xt.items()
     else:
-        ux, tx, xs = _numerators(x, grade, d)
-    if d == 1 and Fraction not in map(type, y.values()):
-        uy, ty, ys = 1, 0, y.items()
+        ux, tx, xs = _operand(x, grade, d, d_alg)
+    if d == 1 and Fraction not in map(type, yt.values()):
+        uy, ty, ys = 1, 0, yt.items()
     else:
-        uy, ty, ys = _numerators(y, grade, d)
+        uy, ty, ys = _operand(y, grade, d, d_alg)
     acc: dict = {}
     get = acc.get
     for bx, nx in xs:
@@ -240,9 +266,8 @@ def graded_product(x: dict, y: dict, kernel: Callable, grade: Callable, d: int =
     if 0 in acc.values():
         drop_zeros(acc)
     base = ux * uy
-    if d == 1 == d_alg:
-        if base != 1:
-            acc = {b: quotient(n, base) for b, n in acc.items()}
+    if d == 1 == d_alg == base:
+        # the numerators are the coefficients
         return FormalSum._raw(acc)
     return graded_sum(acc, tx + ty, grade, d, d_alg, base)
 
@@ -250,20 +275,46 @@ def graded_product(x: dict, y: dict, kernel: Callable, grade: Callable, d: int =
 def graded_sum(num: dict, top: int, grade: Callable, d: int = 1, d_alg: int = 1,
                base: int = 1) -> FormalSum:
     """The exact sum with coefficients ``num[b] / (base * d**(top - grade(b))
-    * d_alg**(grade(b) + 1))``, one exact division per term; ``num`` holds
-    nonzero ints and is not changed.  With d > 1 no grade exceeds top."""
-    out = {}
+    * d_alg**(grade(b) + 1))``, one exact division per term, carrying
+    ``num`` as its lift.  ``num`` holds nonzero ints; it is referenced, not
+    copied, and must not change afterwards.  With d > 1 no grade exceeds
+    top; with d = 1 top plays no part and the key records 0.  Callers whose
+    numerators are the coefficients (d, d_alg and base all 1) wrap them with
+    no lift instead."""
     if d == 1:
+        top = 0
+        if d_alg == 1:
+            out = {b: quotient(n, base) for b, n in num.items()}
+        else:
+            out = {b: quotient(n, base * d_alg ** (grade(b) + 1)) for b, n in num.items()}
+    else:
+        # the denominator of each grade, indexed by top - grade
+        dens = [base * d_alg ** (top - k + 1) * d ** k for k in range(top + 1)]
+        out = {}
         for b, n in num.items():
-            out[b] = quotient(n, base * d_alg ** (grade(b) + 1))
-        return FormalSum._raw(out)
-    # the denominator of each grade, indexed by top - grade
-    dens = [base * d_alg ** (top - k + 1) * d ** k for k in range(top + 1)]
-    for b, n in num.items():
-        den = dens[top - grade(b)]
-        q, r = divmod(n, den)
-        out[b] = Fraction(n, den) if r else q
-    return FormalSum._raw(out)
+            den = dens[top - grade(b)]
+            q, r = divmod(n, den)
+            out[b] = Fraction(n, den) if r else q
+    return FormalSum._raw(out, ((grade, d, d_alg, base, top), num))
+
+
+def graded_relabel(s: FormalSum, fn: Callable) -> FormalSum:
+    """``s`` with each basis element b relabelled ``fn(b)``, for an injective
+    ``fn`` that adds exactly one to the grade: grafting a tree on a new root,
+    prefixing a word.  No two terms meet, so the coefficients carry over
+    unchanged, and so does a lift, with top one higher (when D > 1) and one
+    more factor D_A in each numerator."""
+    lift = s._lift
+    if lift is None:
+        return FormalSum._raw({fn(b): c for b, c in s._terms.items()})
+    (grade, d, d_alg, base, top), num = lift
+    terms: dict = {}
+    lifted: dict = {}
+    for b, c in s._terms.items():
+        image = fn(b)
+        terms[image] = c
+        lifted[image] = num[b] * d_alg
+    return FormalSum._raw(terms, ((grade, d, d_alg, base, top + 1 if d != 1 else 0), lifted))
 
 
 def drop_zeros(acc: dict) -> dict:
@@ -271,6 +322,26 @@ def drop_zeros(acc: dict) -> dict:
     for b in [b for b, n in acc.items() if not n]:
         del acc[b]
     return acc
+
+
+def _operand(s: FormalSum, grade: Callable, d: int, d_alg: int):
+    """(U, top, items) for one operand of :func:`graded_product`: the
+    coefficient of b is ``n / (U * d**(top - grade(b)))`` for each (b, n) in
+    items.  A lift whose key matches the product's grade, d and d_alg gives
+    them as they are (with d_alg > 1 after moving its per-grade factors
+    D_A into U); any other operand goes through :func:`_numerators`."""
+    lift = s._lift
+    if lift is not None:
+        (g, ld, lda, base, top), num = lift
+        if g is grade and ld == d and lda == d_alg:
+            if d_alg == 1:
+                return base, top, num.items()
+            grades = [grade(b) for b in num]
+            most = max(grades)
+            return base * d_alg ** (most + 1), top, [
+                (b, n * d_alg ** (most - k)) for (b, n), k in zip(num.items(), grades)
+            ]
+    return _numerators(s._terms, grade, d)
 
 
 def _numerators(terms: dict, grade: Callable, d: int):

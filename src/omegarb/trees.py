@@ -32,11 +32,14 @@ them by the int lambda(a, b) * D.  No Fraction arithmetic happens inside.
 Exact rationals come back only at the boundary.  ``diamond_basis`` returns
 the canonical FormalSum of a basis pair, cached per pair, and ``product``
 of sums (``scalars.graded_product``) brings each operand to one common
-denominator, adds ints, and divides once per output term.  With integral
-weights (D = 1) the numerators are the coefficients, and ``diamond_basis``
-wraps the memo's dict without a copy.  ``product`` of two single terms
-whose coefficients multiply to 1 returns the cached sum itself; formal sums
-are immutable, so callers cannot change it.
+denominator, adds ints, and divides once per output term.  Both keep the
+numerators they divided as the sum's lift (the memo's own dict, for
+``diamond_basis``), so a product used again as an operand, grafted, or
+compared with another product of the same lift key, stays in ints.  With
+integral weights (D = 1) the numerators are the coefficients, and
+``diamond_basis`` wraps the memo's dict without a copy.  ``product`` of two
+single terms whose coefficients multiply to 1 returns the cached sum
+itself; formal sums are immutable, so callers cannot change it.
 
 The expression parser refuses a tree deeper than ``MAX_TREE_DEPTH`` levels
 with :class:`ExprError`, so products and ``evaluate`` on parsed input stay
@@ -52,7 +55,7 @@ from functools import reduce
 from math import lcm
 
 from .omega import OmegaStructure, StructureError
-from .scalars import FormalSum, accumulate, graded_product, graded_sum
+from .scalars import FormalSum, accumulate, graded_product, graded_relabel, graded_sum
 
 __all__ = [
     "Tree",
@@ -188,10 +191,17 @@ def corolla(angles) -> Tree:
 
 
 def graft(omega: int, t: Tree | FormalSum):
-    """New root below the argument, connected by an edge typed ``omega``."""
+    """New root below the argument, connected by an edge typed ``omega``.
+
+    On a sum this is the injective relabel :func:`scalars.graded_relabel`,
+    which keeps the sum's lift; a known edge count carries over, plus one.
+    """
     if isinstance(t, FormalSum):
-        return t.map_basis(lambda b: Tree(((omega, b),), ()))
-    return Tree(((omega, t),), ())
+        return graded_relabel(t, lambda b: graft(omega, b))
+    out = Tree(((omega, t),), ())
+    if t._edges is not None:
+        out._edges = t._edges + 1
+    return out
 
 
 def depth(t: Tree) -> int:
@@ -318,7 +328,7 @@ class TreeAlgebra:
             ((t2, c2),) = vt.items()
             if c1 * c2 == 1:
                 return self.diamond_basis(t1, t2)
-        return graded_product(ut, vt, self._diamond, edge_count, self._d)
+        return graded_product(u, v, self._diamond, edge_count, self._d)
 
     def diamond_basis(self, t: Tree, u: Tree) -> FormalSum:
         """The exact product of two trees, one cached sum per pair."""
@@ -330,6 +340,7 @@ class TreeAlgebra:
                 # integral weights: the numerators are the coefficients
                 hit = FormalSum._raw(num)
             else:
+                # lifted by the memo's own dict
                 hit = graded_sum(num, edge_count(t) + edge_count(u), edge_count, self._d)
             self._cache[key] = hit
         return hit

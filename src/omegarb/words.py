@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 
 from .omega import OmegaStructure, StructureError
-from .scalars import FormalSum, accumulate, drop_zeros, graded_product, graded_sum
+from .scalars import FormalSum, accumulate, drop_zeros, graded_product, graded_relabel, graded_sum
 from .trees import MAX_TREE_DEPTH, ExprError, _graded_ops, _tokenize_expr
 
 __all__ = [
@@ -222,6 +222,8 @@ class WordAlgebra:
     returns the canonical FormalSum of a basis pair, cached per pair, and
     ``product`` of sums (``scalars.graded_product``) brings each operand to
     one common denominator, adds ints, and divides once per output term.
+    Both keep the numerators they divided as the sum's lift, which
+    ``product`` reads back from its operands and ``p_op`` carries over.
     When D = D_A = 1 the numerators are the coefficients, and
     ``diamond_basis`` wraps the memo's dict without a copy.  ``product`` of
     two single terms whose coefficients multiply to 1 returns the cached sum
@@ -271,10 +273,8 @@ class WordAlgebra:
             x = FormalSum.term(x)
         if not 0 <= w < self.omega.size:
             raise StructureError(f"type index {w} outside carrier")
-        e = self.algebra.unit
-        return x.map_basis(
-            lambda word: tuple.__new__(TypedWord, (e, w) + word)
-        )
+        prefix = (self.algebra.unit, w)
+        return graded_relabel(x, lambda word: tuple.__new__(TypedWord, prefix + word))
 
     def product(self, u: FormalSum | TypedWord, v: FormalSum | TypedWord) -> FormalSum:
         if isinstance(u, TypedWord):
@@ -289,7 +289,7 @@ class WordAlgebra:
             ((w2, c2),) = vt.items()
             if c1 * c2 == 1:
                 return self.diamond_basis(w1, w2)
-        return graded_product(ut, vt, self._diamond, _grade, self._d, self._d_alg)
+        return graded_product(u, v, self._diamond, _grade, self._d, self._d_alg)
 
     def diamond_basis(self, a: TypedWord, b: TypedWord) -> FormalSum:
         """The exact product of two words, one cached sum per pair."""
@@ -302,6 +302,7 @@ class WordAlgebra:
                 # are the coefficients
                 hit = FormalSum._raw(num)
             else:
+                # lifted by the memo's own dict
                 top = len(a) // 2 + len(b) // 2
                 hit = graded_sum(num, top, _grade, self._d, self._d_alg)
             self._cache[key] = hit

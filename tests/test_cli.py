@@ -426,6 +426,26 @@ def test_fractional_weight_output_matches_the_pinned_fixture(command, fmt, ext, 
 
 
 @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
+def test_chained_products_match_the_pinned_fixture(fmt, ext, tmp_path):
+    # three-factor chains at weights 1/2 and 2/3, a tree chain (first line
+    # of chain.expr) then a word chain (second line), each output in turn
+    pinned = ROOT / "fixtures" / "family_half"
+    tree_expr, word_expr = (pinned / "chain.expr").read_text().splitlines()
+    omega_file = str(ROOT / "sample_inputs" / "family_half.txt")
+    runs = [
+        ["product", "--omega", omega_file, "--expr", tree_expr],
+        ["words", "--omega", omega_file, "--expr", word_expr,
+         "--algebra", str(ROOT / "sample_inputs" / "truncated_poly.txt")],
+    ]
+    got = b""
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"out{i}.txt"
+        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+        got += out.read_bytes()
+    assert got == (pinned / f"chain.{ext}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
 def test_integral_weight_word_output_matches_the_pinned_fixture(fmt, ext, tmp_path):
     # weight 1 on the Z/2 family: products of 3- to 5-letter words
     pinned = ROOT / "fixtures" / "family_z2"

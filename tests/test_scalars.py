@@ -2,7 +2,14 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from omegarb.scalars import FormalSum, bilinear_extend, format_scalar, parse_scalar
+from omegarb.scalars import (
+    FormalSum,
+    bilinear_extend,
+    format_scalar,
+    graded_relabel,
+    graded_sum,
+    parse_scalar,
+)
 
 
 def fs(*pairs):
@@ -170,3 +177,82 @@ def test_operations_agree_with_a_fraction_reference(x, y, c):
     ):
         assert got._terms == want
         assert_canonical(got)
+
+
+# -- the graded lift a product leaves on its output -----------------------------
+
+
+def lift_terms(x):
+    """The coefficients a sum's lift stands for, worked out with Fractions."""
+    (grade, d, d_alg, base, top), num = x._lift
+    out = {}
+    for b, n in num.items():
+        g = grade(b)
+        out[b] = Fraction(n, base * (d ** (top - g) if d != 1 else 1) * d_alg ** (g + 1))
+    return out
+
+
+def assert_lift_exact(x):
+    """A lift, if any, stands for exactly the terms, which are canonical."""
+    assert_canonical(x)
+    if x._lift is not None:
+        assert lift_terms(x) == x._terms
+        assert 0 not in x._lift[1].values()
+
+
+def letters(b):
+    # a toy grade: basis elements are strings, graded by length - 1
+    return len(b) - 1
+
+
+def test_lift_of_graded_sum_gives_its_terms():
+    x = graded_sum({"a": 9, "ab": 2, "abc": 5}, 2, letters, d=3, base=2)
+    assert x._terms == {"a": Fraction(1, 2), "ab": Fraction(1, 3), "abc": Fraction(5, 2)}
+    assert x._lift == ((letters, 3, 1, 2, 2), {"a": 9, "ab": 2, "abc": 5})
+    assert_lift_exact(x)
+    # with D = 1 top plays no part, and with D_A > 1 each grade adds one factor
+    y = graded_sum({"a": 4, "ab": 4}, 7, letters, d=1, d_alg=2)
+    assert y._terms == {"a": 2, "ab": 1} and y._lift[0] == (letters, 1, 2, 1, 0)
+    assert_lift_exact(y)
+
+
+def test_equal_sums_with_different_lift_keys_compare_by_terms():
+    x = graded_sum({"a": 9, "ab": 2}, 1, letters, d=3)
+    # the same values at base 2 and top 2
+    y = graded_sum({"a": 54, "ab": 12}, 2, letters, d=3, base=2)
+    plain = FormalSum(x.items())
+    assert plain._lift is None
+    assert x._terms == {"a": 3, "ab": 2}
+    assert x == y and y == x and x == plain and plain == x and y == plain
+    assert hash(x) == hash(y) == hash(plain)
+    # the same key with other numerators is another sum
+    z = graded_sum({"a": 9, "ab": 4}, 1, letters, d=3)
+    assert z != x and x != z and z != plain
+    assert len({x, y, plain, z}) == 2
+
+
+def test_arithmetic_leaves_a_lifted_sum_and_its_lift_unchanged():
+    x = graded_sum({"a": 9, "ab": 2, "abc": 5}, 2, letters, d=3, base=2)
+    key, num = x._lift
+    terms, numbers = dict(x._terms), dict(num)
+    other = FormalSum({"a": Fraction(1, 3), "b": 1})
+    results = [x + other, other + x, x - other, -x, x.scale(3), x.scale(Fraction(2, 3)),
+               x.scale(1), 2 * x, graded_relabel(x, lambda b: "z" + b)]
+    assert x._terms == terms and x._lift[0] == key and x._lift[1] is num and num == numbers
+    for r in results:
+        assert_lift_exact(r)
+    # only the relabel (and a scaling by 1, which returns x) keeps a lift
+    assert [r._lift is not None for r in results] == [False] * 6 + [True, False, True]
+
+
+def test_graded_relabel_carries_the_lift_one_grade_up():
+    for d, d_alg in ((1, 1), (3, 1), (1, 2), (3, 4)):
+        x = graded_sum({"a": 9, "ab": -2, "abc": 5}, 2, letters, d, d_alg, base=2)
+        up = graded_relabel(x, lambda b: "z" + b)
+        assert up._terms == {"z" + b: c for b, c in x._terms.items()}
+        assert_lift_exact(up)
+        assert up._lift[0][4] == (3 if d != 1 else 0)
+        assert up == FormalSum(up.items())
+    plain = FormalSum({"a": Fraction(1, 2), "b": 3})
+    up = graded_relabel(plain, lambda b: "z" + b)
+    assert up._lift is None and up._terms == {"za": Fraction(1, 2), "zb": 3}

@@ -13,6 +13,7 @@ from omegarb.omega import (
     example_matching,
     example_semigroup,
 )
+from omegarb import scalars
 from omegarb.scalars import FormalSum
 from omegarb.trees import (
     ExprError,
@@ -32,6 +33,8 @@ from omegarb.trees import (
     tree_to_str,
     unit,
 )
+
+from test_scalars import assert_lift_exact
 
 XOR = OpTable(((0, 1), (1, 0)))
 
@@ -626,3 +629,86 @@ def test_integral_weights_share_the_memo_dict():
     got = half.diamond_basis(t1, t2)
     assert got._terms is not half._memo[(t1, t2)]
     assert got == ComposedTreeAlgebra(half.omega).diamond_basis(t1, t2)
+
+
+# -- the graded lift on product outputs -------------------------------------------
+
+
+def test_a_lift_is_read_only_where_its_key_matches(monkeypatch):
+    pool = small_pool()
+    three = TreeAlgebra(family_structure(Fraction(2, 3)))
+    x = three.product(
+        term(pool[4]).scale(Fraction(2, 3)) + term(pool[5]),
+        term(pool[6]) + term(pool[1]).scale(Fraction(-1, 2)),
+    )
+    assert x._lift[0][:3] == (edge_count, 3, 1)
+    assert_lift_exact(x)
+    w = term(pool[7]).scale(Fraction(-2, 3)) + term(pool[3])
+    real, read = scalars._numerators, []
+    monkeypatch.setattr(scalars, "_numerators", lambda terms, *a: read.append(terms) or real(terms, *a))
+    cases = [
+        (family_structure(Fraction(1, 2)), 2),
+        # a second algebra at D = 3, and one over another structure at D = 3
+        (family_structure(Fraction(2, 3)), 3),
+        (example_abelian_group(XOR, Fraction(4, 3)), 3),
+        (replace(family_structure(Fraction(2, 3)), weight_zero=True), 1),
+    ]
+    for s, d in cases:
+        alg, ref = TreeAlgebra(s), ComposedTreeAlgebra(s)
+        assert alg._d == d
+        read.clear()
+        got = [alg.product(x, w), alg.product(w, x), alg.product(x, x)]
+        assert got == [ref.product(x, w), ref.product(w, x), ref.product(x, x)]
+        # the D = 3 lift is taken as it is at D = 3, and lifted again elsewhere
+        assert any(terms is x._terms for terms in read) == (d != 3)
+        for out in got:
+            assert out._lift[0][:3] == (edge_count, d, 1)
+            assert_lift_exact(out)
+
+
+def test_arithmetic_and_grafting_leave_a_lifted_product_unchanged():
+    alg = TreeAlgebra(family_structure(Fraction(2, 3)))
+    pool = small_pool()
+    x = alg.product(term(pool[4]).scale(Fraction(2, 3)) + term(pool[2]), term(pool[5]))
+    key, num = x._lift
+    terms, numbers = dict(x._terms), dict(num)
+    other = term(pool[1]).scale(Fraction(1, 3))
+    _ = [x + other, other + x, x - other, -x, x.scale(Fraction(3, 2)), graft(1, x)]
+    up = alg.p_op(0, x)
+    assert x._terms == terms and x._lift[0] == key and x._lift[1] is num and num == numbers
+    # grafting keeps the lift one grade up, and the edge counts of the trees
+    assert up._lift[0] == key[:4] + (key[4] + 1,)
+    assert_lift_exact(up)
+    assert all(t._edges == edges_by_recursion(t) for t in up._terms)
+    ref = ComposedTreeAlgebra(alg.omega)
+    plain = graft(0, FormalSum(x.items()))
+    assert plain._lift is None and up == plain and hash(up) == hash(plain)
+    assert alg.product(up, x) == ref.product(plain, x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam_tables, st.booleans(), st.lists(tree_sums, min_size=4, max_size=4), st.sampled_from((0, 1)))
+def test_chained_products_match_composed_recursion(lam, weight_zero, sums, w):
+    s = replace(family_structure(), lam=lam, weight_zero=weight_zero)
+    alg, ref = TreeAlgebra(s), ComposedTreeAlgebra(s)
+    u, v, x, y = sums
+
+    def chains(mul, op):
+        return [
+            mul(mul(u, v), x),
+            mul(u, mul(v, x)),
+            mul(mul(mul(u, v), x), y),
+            mul(mul(u, v), mul(x, y)),
+            mul(u, mul(op(w, mul(v, x)), y)),
+        ]
+
+    got = chains(alg.product, alg.p_op)
+    assert got == chains(ref.product, graft)
+    for out in got:
+        assert_lift_exact(out)
+        for c in out._terms.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
+    # equality through the lifts agrees with equality of the terms
+    for a in got:
+        for b in got:
+            assert (a == b) == (a._terms == b._terms)

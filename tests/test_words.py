@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegarb.omega import OpTable, StructureError, example_semigroup
+from omegarb import scalars
 from omegarb.scalars import FormalSum
 from omegarb.tables import lets_row, op, strict_commutative_instances
 from omegarb.words import (
@@ -25,6 +26,8 @@ from omegarb.words import (
     word_length,
     word_sum_to_str,
 )
+
+from test_scalars import assert_lift_exact
 
 XOR = OpTable(((0, 1), (1, 0)))
 fs = FormalSum.term
@@ -575,3 +578,97 @@ def test_kernel_builds_only_typed_words(lam):
         assert all(type(w) is TypedWord for w in res)
     for out in outputs:
         assert all(type(w) is TypedWord for w in out._terms)
+
+
+# -- the graded lift on product outputs -------------------------------------------
+
+
+def test_a_word_lift_is_read_only_where_its_key_matches(monkeypatch):
+    a, b, c = TypedWord((1, 0), (0,)), TypedWord((0, 1, 1), (1, 0)), TypedWord((1,), ())
+    half = square_line(Fraction(1, 2))
+    W3 = WordAlgebra(family_structure(Fraction(2, 3)), half)
+    assert (W3._d, W3._d_alg) == (3, 2)
+    x = W3.product(fs(a, Fraction(2, 3)) + fs(c), fs(b) + fs(a, Fraction(-1, 2)))
+    assert x._lift[0][1:3] == (3, 2)
+    assert_lift_exact(x)
+    w = fs(b, Fraction(-2, 3)) + fs(c)
+    real, read = scalars._numerators, []
+    monkeypatch.setattr(scalars, "_numerators", lambda terms, *r: read.append(terms) or real(terms, *r))
+    cases = [
+        (family_structure(Fraction(1, 2)), half, (2, 2)),
+        (family_structure(Fraction(2, 3)), truncated_poly(), (3, 1)),
+        # a second algebra with the same D and D_A, over another structure
+        (example_semigroup(XOR, Fraction(4, 3)), square_line(Fraction(-3, 2)), (3, 2)),
+        (replace(family_structure(Fraction(2, 3)), weight_zero=True), half, (1, 2)),
+    ]
+    for s, A, dd in cases:
+        W, ref = WordAlgebra(s, A), ComposedWordAlgebra(s, A)
+        assert (W._d, W._d_alg) == dd
+        read.clear()
+        got = [W.product(x, w), W.product(w, x), W.product(x, x)]
+        assert got == [ref.product(x, w), ref.product(w, x), ref.product(x, x)]
+        assert any(terms is x._terms for terms in read) == (dd != (3, 2))
+        for out in got:
+            assert out._lift[0][1:3] == dd
+            assert_lift_exact(out)
+
+
+@pytest.mark.parametrize("c", [None, Fraction(1, 2)])
+def test_arithmetic_and_p_op_leave_a_lifted_word_product_unchanged(c):
+    A = truncated_poly() if c is None else square_line(c)
+    W = WordAlgebra(family_structure(Fraction(2, 3)), A)
+    a, b = TypedWord((1, 0), (0,)), TypedWord((0, 1, 1), (1, 0))
+    x = W.product(fs(a, Fraction(2, 3)) + fs(b), fs(b))
+    key, num = x._lift
+    terms, numbers = dict(x._terms), dict(num)
+    other = fs(a, Fraction(1, 3))
+    _ = [x + other, other + x, x - other, -x, x.scale(Fraction(3, 2))]
+    up = W.p_op(1, x)
+    assert x._terms == terms and x._lift[0] == key and x._lift[1] is num and num == numbers
+    # prefixing keeps the lift one grade up, with one more factor D_A
+    assert up._lift[0] == key[:4] + (key[4] + 1,)
+    assert up._lift[1] == {(0, 1) + w: n * W._d_alg for w, n in num.items()}
+    assert_lift_exact(up)
+    plain = W.p_op(1, FormalSum(x.items()))
+    assert plain._lift is None and up == plain and hash(up) == hash(plain)
+    ref = ComposedWordAlgebra(W.omega, A)
+    assert W.product(up, x) == ref.product(plain, x)
+    assert W.product(x, up) == ref.product(x, plain)
+
+
+# four factors of length 3 make words of up to 12 letters, too many for the
+# reference; factors of up to 2 letters keep each example fast
+chain_sums = st.lists(
+    st.tuples(st.sampled_from(all_words(2, 2, 2)), st.sampled_from(COEFFS)), min_size=1, max_size=3
+).map(FormalSum)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam_tables, st.booleans(), algebras, st.lists(chain_sums, min_size=4, max_size=4),
+       st.sampled_from((0, 1)))
+def test_chained_word_products_match_composed_recursion(lam, weight_zero, c, sums, t):
+    s = replace(family_structure(), lam=lam, weight_zero=weight_zero)
+    A = truncated_poly() if c is None else square_line(c)
+    W, ref = WordAlgebra(s, A), ComposedWordAlgebra(s, A)
+    u, v, x, y = sums
+
+    def chains(R):
+        mul = R.product
+        return [
+            mul(mul(u, v), x),
+            mul(u, mul(v, x)),
+            mul(mul(mul(u, v), x), y),
+            mul(mul(u, v), mul(x, y)),
+            mul(u, mul(R.p_op(t, mul(v, x)), y)),
+        ]
+
+    got = chains(W)
+    assert got == chains(ref)
+    for out in got:
+        assert_lift_exact(out)
+        for coeff in out._terms.values():
+            assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
+    # equality through the lifts agrees with equality of the terms
+    for a in got:
+        for b in got:
+            assert (a == b) == (a._terms == b._terms)

@@ -8,6 +8,14 @@ multiplicative identity; the trivial tree appears only as a leaf child,
 never as a standalone algebra element, which keeps the basis of formal
 sums uniform.
 
+Trees are hash-consed: there is one object per distinct tree, held weakly
+by a module-level table keyed by (children, angles), so two trees are equal
+exactly when they are the same object.  Equality and hashing are object
+identity, done in C: the memo, the accumulators and formal sums find a tree
+without running Python code, whatever its depth.  The table insert is one
+atomic ``dict.setdefault``, so threads building the same tree at once all
+get the one published object.
+
 :class:`TreeAlgebra` implements the inductive product: depth-1 corollas
 concatenate their angle lists; when at least one of the two boundary
 children (last child of the left factor, first child of the right factor)
@@ -25,7 +33,7 @@ keep the edge count.  With D the least common denominator of the lambda
 table (1 in weight-0 mode), the memo stores coefficient * D**g, an int.
 Each entry is built in one pass from the two or three memoized entries of
 the recursion: the left head, the edge typed w over a result tree of the
-entry, then the right tail, interned, go straight into one dict; the two
+entry, then the right tail, go straight into one dict; the two
 edge-keeping terms copy their numerators and the weight term multiplies
 them by the int lambda(a, b) * D.  No Fraction arithmetic happens inside.
 
@@ -44,12 +52,15 @@ itself; formal sums are immutable, so callers cannot change it.
 The expression parser refuses a tree deeper than ``MAX_TREE_DEPTH`` levels
 with :class:`ExprError`, so products and ``evaluate`` on parsed input stay
 inside the default recursion limit.  ``depth``, ``leaf_count``,
-``Tree.sort_key``, ``==`` and ``tree_to_str`` are iterative and take trees
-of any depth.
+``Tree.sort_key``, pickling and ``tree_to_str`` are iterative and take
+trees of any depth.
 """
 
 from __future__ import annotations
 
+import itertools
+import weakref
+from _weakref import _remove_dead_weakref
 from fractions import Fraction
 from functools import reduce
 from math import lcm
@@ -78,43 +89,17 @@ __all__ = [
 
 
 class Tree:
-    __slots__ = ("children", "angles", "_hash", "_key", "_depth", "_edges")
+    """A typed, angularly decorated planar rooted tree.  Trees are
+    hash-consed (see the module docstring), so they compare and hash by
+    identity; pickling and copying return the table's tree, at any depth."""
 
-    def __init__(self, children, angles):
-        children = tuple(children)
-        angles = tuple(angles)
-        if not children:
-            raise ValueError("a tree has at least one child (the one-leaf tree)")
-        if len(angles) != len(children) - 1:
-            raise ValueError("angle count must be children count - 1")
-        self.children = children
-        self.angles = angles
-        self._hash = hash((children, angles))
-        self._key = None
-        self._depth = None
-        self._edges = None
+    __slots__ = ("children", "angles", "_key", "_depth", "_edges", "__weakref__")
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Tree):
-            return NotImplemented
-        if self._hash != other._hash or self.angles != other.angles:
-            return False
-        global _comparing
-        if _comparing:
-            return _same_children(self, other)
-        # the children tuples compare in C; their subtrees are mostly the
-        # same objects (the memo interns its trees), and a nested call, made
-        # for two distinct subtrees, walks them with a stack instead
-        _comparing = True
-        try:
-            return self.children == other.children
-        finally:
-            _comparing = False
+    def __new__(cls, children, angles):
+        return _tree(tuple(children), tuple(angles))
 
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return _from_key, (self.sort_key(),)
 
     def sort_key(self):
         """The flat preorder sequence: arity, angle labels, then per child 0
@@ -151,32 +136,75 @@ class Tree:
         return f"Tree{self.sort_key()!r}"
 
 
-# True while Tree.__eq__ compares two children tuples in C.  The comparisons
-# nested in that one, of two distinct subtrees, walk instead of recursing, so
-# any depth works.  The flag picks only the path, not the result: threads
-# comparing trees at the same time may see it set and walk.
-_comparing = False
+class _Entry(weakref.ref):
+    # a table entry: a weak reference to a tree that knows its key
+    __slots__ = ("key",)
 
 
-def _same_children(t: Tree, u: Tree) -> bool:
-    """Structural equality of two trees with equal hashes and angles, walked
-    with a stack; identical subtrees are not entered."""
-    stack = []
+# (children, angles) -> _Entry of the one live tree with them
+_table: dict = {}
+
+
+def _evict(entry):
+    # called when the tree dies; removes the entry only if it is still dead,
+    # never a live tree inserted under the same key since
+    _remove_dead_weakref(_table, entry.key)
+
+
+def _tree(children: tuple, angles: tuple) -> Tree:
+    """The one tree with these children and angles (both tuples)."""
+    key = (children, angles)
+    entry = _table.get(key)
+    if entry is not None:
+        t = entry()
+        if t is not None:
+            return t
+    if not children:
+        raise ValueError("a tree has at least one child (the one-leaf tree)")
+    if len(angles) != len(children) - 1:
+        raise ValueError("angle count must be children count - 1")
+    t = object.__new__(Tree)
+    t.children = children
+    t.angles = angles
+    t._key = t._depth = t._edges = None
+    entry = _Entry(t, _evict)
+    entry.key = key
     while True:
-        for c, d in zip(t.children, u.children):
-            if c is not d:
-                if c is None or d is None or c[0] != d[0]:
-                    return False
-                if c[1] is not d[1]:
-                    stack.append((c[1], d[1]))
+        found = _table.setdefault(key, entry)()
+        if found is not None:
+            return found
+        # a dead entry whose eviction has not run yet
+        _remove_dead_weakref(_table, key)
+
+
+def _from_key(key) -> Tree:
+    """The tree whose ``sort_key`` is ``key``, built bottom up with a stack."""
+    it = iter(key)
+
+    def vertex():
+        n = next(it)
+        return tuple(itertools.islice(it, n - 1)), [], n
+
+    # per open vertex: its angles, the children read so far, its arity
+    stack = [vertex()]
+    while True:
+        angles, kids, n = stack[-1]
+        if len(kids) < n:
+            if next(it):
+                kids.append(next(it))  # the edge type; its subtree follows
+                stack.append(vertex())
+            else:
+                kids.append(None)
+            continue
+        t = _tree(tuple(kids), angles)
+        stack.pop()
         if not stack:
-            return True
-        t, u = stack.pop()
-        if t._hash != u._hash or t.angles != u.angles:
-            return False
+            return t
+        kids = stack[-1][1]
+        kids.append((kids.pop(), t))
 
 
-_UNIT = Tree((None,), ())
+_UNIT = _tree((None,), ())
 
 
 def unit() -> Tree:
@@ -187,7 +215,7 @@ def unit() -> Tree:
 def corolla(angles) -> Tree:
     """A single vertex with only leaf children, decorated by the given angles."""
     angles = tuple(angles)
-    return Tree((None,) * (len(angles) + 1), angles)
+    return _tree((None,) * (len(angles) + 1), angles)
 
 
 def graft(omega: int, t: Tree | FormalSum):
@@ -198,7 +226,7 @@ def graft(omega: int, t: Tree | FormalSum):
     """
     if isinstance(t, FormalSum):
         return graded_relabel(t, lambda b: graft(omega, b))
-    out = Tree(((omega, t),), ())
+    out = _tree(((omega, t),), ())
     if t._edges is not None:
         out._edges = t._edges + 1
     return out
@@ -295,9 +323,6 @@ class TreeAlgebra:
         self._memo: dict = {}
         # (t, u) -> exact FormalSum, for the pairs diamond_basis was asked for
         self._cache: dict = {}
-        # one object per distinct result tree of the memo: equal trees built
-        # by different _diamond calls share storage and compare by `is`
-        self._trees: dict = {}
 
     def one(self) -> FormalSum:
         return FormalSum.term(_UNIT)
@@ -356,22 +381,21 @@ class TreeAlgebra:
         head = t.children[:-1]
         tail = u.children[1:]
         angles = t.angles + u.angles
-        intern = self._trees.setdefault
         # with D > 1 every tree made here is given its edge count, the grade
         # that diamond_basis and product divide by, without walking it again
         graded = self._d != 1
         if last is None or first is None:
             merged = first if last is None else last
-            tree = Tree(head + (merged,) + tail, angles)
+            tree = _tree(head + (merged,) + tail, angles)
             if graded:
                 tree._edges = edge_count(t) + edge_count(u)
-            res = {intern(tree, tree): 1}
+            res = {tree: 1}
         else:
             a, left_sub = last
             b, right_sub = first
             right, rhd, left, lhd, dot, lam = self._ops[a][b]
-            up = Tree(((rhd, left_sub),), ())
-            down = Tree(((lhd, right_sub),), ())
+            up = _tree(((rhd, left_sub),), ())
+            down = _tree(((lhd, right_sub),), ())
             if graded:
                 el, er = edge_count(left_sub), edge_count(right_sub)
                 up._edges, down._edges = el + 1, er + 1
@@ -387,11 +411,11 @@ class TreeAlgebra:
             get = acc.get
             for w, sub, factor in parts:
                 for sub_tree, n in sub.items():
-                    tree = Tree(head + ((w, sub_tree),) + tail, angles)
+                    tree = _tree(head + ((w, sub_tree),) + tail, angles)
                     if graded:
                         tree._edges = outer + 1 + sub_tree._edges
                     acc[tree] = get(tree, 0) + factor * n
-            res = {intern(tree, tree): n for tree, n in acc.items() if n}
+            res = {tree: n for tree, n in acc.items() if n}
         self._memo[key] = res
         return res
 
@@ -496,35 +520,17 @@ def all_trees(alphabet, n_types: int, max_leaves: int, max_depth: int):
         out = []
         # child option lists per leaf count
         def child_options(q):
-            opts = []
-            if q == 1:
-                opts.append(None)
-            for sub in trees_exact(q, d - 1):
-                for w in range(n_types):
-                    opts.append((w, sub))
-            return opts
-
-        def compositions(total, parts):
-            if parts == 1:
-                yield (total,)
-                return
-            for first in range(1, total - parts + 2):
-                for rest in compositions(total - first, parts - 1):
-                    yield (first,) + rest
+            edges = [(w, sub) for sub in trees_exact(q, d - 1) for w in range(n_types)]
+            return [None] + edges if q == 1 else edges
 
         for k in range(1, p + 1):
-            for comp in compositions(p, k):
-                opt_lists = [child_options(q) for q in comp]
-                if any(not opts for opts in opt_lists):
-                    continue
-                def expand(idx, chosen):
-                    if idx == len(opt_lists):
-                        for angles in _tuples(alphabet, k - 1):
-                            out.append(Tree(tuple(chosen), angles))
-                        return
-                    for opt in opt_lists[idx]:
-                        expand(idx + 1, chosen + [opt])
-                expand(0, [])
+            # the leaf counts of the k children: p split at k - 1 cuts
+            for cuts in itertools.combinations(range(1, p), k - 1):
+                bounds = (0,) + cuts + (p,)
+                opt_lists = [child_options(b - a) for a, b in zip(bounds, bounds[1:])]
+                for chosen in itertools.product(*opt_lists):
+                    for angles in itertools.product(alphabet, repeat=k - 1):
+                        out.append(_tree(chosen, angles))
         memo[key] = out
         return out
 
@@ -533,15 +539,6 @@ def all_trees(alphabet, n_types: int, max_leaves: int, max_depth: int):
         result.extend(trees_exact(p, max_depth))
     result.sort(key=Tree.sort_key)
     return result
-
-
-def _tuples(pool, k):
-    if k == 0:
-        yield ()
-        return
-    for rest in _tuples(pool, k - 1):
-        for x in pool:
-            yield (x,) + rest
 
 
 # ---------------------------------------------------------------------------

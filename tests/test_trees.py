@@ -1,5 +1,9 @@
+import copy
+import gc
+import pickle
 import random
 import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,7 +17,7 @@ from omegarb.omega import (
     example_matching,
     example_semigroup,
 )
-from omegarb import scalars
+from omegarb import scalars, trees
 from omegarb.scalars import FormalSum
 from omegarb.trees import (
     ExprError,
@@ -87,10 +91,95 @@ def test_branches_micro_examples():
 
 
 def test_tree_invariants():
-    with pytest.raises(ValueError):
+    live = len(trees._table)
+    with pytest.raises(ValueError, match="^a tree has at least one child"):
         Tree((), ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^angle count must be children count - 1$"):
         Tree((None, None), ())  # missing angle
+    with pytest.raises(ValueError, match="^angle count"):
+        Tree([None, (0, unit())], ["x", "y"])
+    # a refused tree never enters the table
+    assert len(trees._table) == live
+
+
+# -- one object per tree -----------------------------------------------------
+
+
+def test_every_route_to_a_tree_gives_the_one_object():
+    labels = ("a", "b")
+    alg = TreeAlgebra(family_structure())
+    (parsed,) = parse_tree_expr("([a](| x | y |))", labels).support()
+    (listed,) = [t for t in all_trees(("x", "y"), 2, 3, 2) if t.sort_key() == parsed.sort_key()]
+    grafted = graft(0, corolla(("x", "y")))
+    (lifted,) = alg.p_op(0, alg.product(term(corolla(("x",))), term(corolla(("y",))))).support()
+    (rebuilt,) = alg.product(term(unit()), term(grafted)).support()
+    built = Tree([(0, Tree([None, None, None], ["x", "y"]))], [])
+    assert parsed is listed is grafted is lifted is rebuilt is built
+    # every product output is the tree its own text parses to
+    t1 = graft(0, graft(1, corolla(("x",))))
+    t2 = Tree(((1, corolla(("y",))), None), ("z",))
+    out = alg.product(alg.product(term(t1), term(t2)), term(t1))
+    assert len(out.support()) > 1
+    for t in out.support():
+        (again,) = parse_tree_expr(tree_to_str(t, labels), labels).support()
+        assert again is t and Tree(t.children, t.angles) is t
+
+
+def test_pickle_and_copy_return_the_one_object():
+    labels = ("a", "b")
+    (edged,) = parse_tree_expr("([b](| x [a](|) y |))", labels).support()
+    small = [unit(), corolla(("x", "y")), edged]
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for t in small + [ladder(5000)]:
+            for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(t, proto)) is t
+            assert copy.copy(t) is t and copy.deepcopy(t) is t
+        # a tree nothing refers to left the table, and is built anew from its pickle
+        live = len(trees._table)
+        blob = pickle.dumps(ladder(5000, bottom="w"))
+        assert len(trees._table) == live
+        back = pickle.loads(blob)
+        assert back is ladder(5000, bottom="w") and depth(back) == 5001
+        assert tree_to_str(back, labels).count("[") == 5000
+    finally:
+        sys.setrecursionlimit(old)
+    s = term(small[1]).scale(Fraction(2, 3)) + term(small[2])
+    assert pickle.loads(pickle.dumps(s)) == s
+
+
+def live_trees():
+    return sum(1 for entry in list(trees._table.values()) if entry() is not None)
+
+
+def test_a_dropped_algebra_frees_its_trees():
+    pool = small_pool()
+    gc.collect()
+    base = live_trees()
+    assert len(trees._table) == base
+    alg = TreeAlgebra(family_structure(Fraction(2, 3)))
+    for a in pool:
+        for b in pool:
+            alg.product(alg.product(term(a), term(b)), term(a))
+    assert live_trees() > base + 100
+    del alg
+    gc.collect()
+    assert live_trees() == base and len(trees._table) == base
+
+
+def test_threads_building_one_tree_get_one_object():
+    def build(out):
+        out.extend(ladder(400, bottom=b) for b in ("p", "q", "r"))
+
+    results = [[] for _ in range(4)]
+    threads = [threading.Thread(target=build, args=(out,)) for out in results]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    for out in results[1:]:
+        assert all(t is u for t, u in zip(out, results[0]))
 
 
 # -- grafting -----------------------------------------------------------------
@@ -336,7 +425,7 @@ def test_deep_ladders_print_sort_and_compare():
     sys.setrecursionlimit(1000)
     try:
         a, b, c = ladder(5000), ladder(5000), ladder(5000, bottom="y")
-        assert a == b and a is not b and hash(a) == hash(b)
+        assert a == b and a is b and hash(a) == hash(b)
         assert a != c and not a == graft(0, ladder(4999))
         assert a.sort_key() == b.sort_key() and a.sort_key() < c.sort_key()
         expect = "(| x |)"
@@ -432,7 +521,7 @@ def test_abelian_group_structure_tree_product_associative():
                 )
 
 
-# -- integral coefficients and interned result trees -----------------------------
+# -- integral coefficients and one object per result tree ----------------------
 
 
 def small_pool():
@@ -465,7 +554,7 @@ def test_memo_result_trees_are_one_object_per_tree():
     for res in alg._memo.values():
         for t in res:
             results += 1
-            assert seen.setdefault(t, t) is t
+            assert seen.setdefault(t.sort_key(), t) is t
     assert results > len(seen)
 
 
@@ -613,8 +702,9 @@ def test_mixed_denominator_weights_match_composed_recursion(lam, weight_zero, u,
         for c in out._terms.values():
             assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
     # the edge counts the kernel stores on its result trees are right
-    for t in alg._trees:
-        assert t._edges is None or t._edges == edges_by_recursion(t)
+    for res in alg._memo.values():
+        for t in res:
+            assert t._edges is None or t._edges == edges_by_recursion(t)
 
 
 def edges_by_recursion(t):

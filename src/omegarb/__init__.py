@@ -4,9 +4,11 @@ Subpackages by concern: exact coefficients and formal sums (``scalars``),
 finite parameter structures with layered axiom checking (``omega``), the
 free algebra on typed angularly decorated planar rooted trees (``trees``),
 the operator-identity and dendriform checkers (``rba``), typed words over a
-basis-presented commutative algebra (``words``), brute-force classification
-of two-element structures against the shipped fixture tables (``classify``,
-``tables``), and the command-line front end (``cli``).
+basis-presented commutative algebra (``words``), the product core and the
+expression layer those two free algebras share (``free``, ``expr``),
+brute-force classification of two-element structures against the shipped
+fixture tables (``classify``, ``tables``), and the command-line front end
+(``cli``).
 """
 
 from .scalars import FormalSum, Scalar, bilinear_extend, format_scalar, parse_scalar

@@ -18,7 +18,7 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
+from dataclasses import replace
 
 from . import classify, rba
 from .omega import StructureError, check, parse_structure
@@ -30,6 +30,7 @@ from .words import (
     parse_word_expr,
     unitize,
     word_sum_to_str,
+    word_to_str,
 )
 
 EXIT_OK = 0
@@ -50,8 +51,13 @@ def _emit(text: str, out: str | None):
         print(text)
 
 
-def _sum_payload(s, render):
-    return [{"coeff": str(c), "term": render(t)} for t, c in s]
+def _emit_sum(value, render_term, render_sum, args) -> int:
+    if args.format == "json":
+        payload = [{"coeff": str(c), "term": render_term(t)} for t, c in value]
+        _emit(json.dumps(payload, indent=2), args.out)
+    else:
+        _emit(render_sum(value), args.out)
+    return EXIT_OK
 
 
 def _emit_report(report, args, labels=None) -> int:
@@ -78,17 +84,10 @@ def cmd_check(args) -> int:
 def cmd_product(args) -> int:
     structure = parse_structure(_read(args.omega))
     if args.weight_zero:
-        from dataclasses import replace
-
         structure = replace(structure, weight_zero=True)
-    algebra = TreeAlgebra(structure)
-    value = parse_tree_expr(args.expr, structure.labels, algebra)
-    if args.format == "json":
-        payload = _sum_payload(value, lambda t: tree_to_str(t, structure.labels))
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        _emit(sum_to_str(value, structure.labels), args.out)
-    return EXIT_OK
+    labels = structure.labels
+    value = parse_tree_expr(args.expr, labels, TreeAlgebra(structure))
+    return _emit_sum(value, lambda t: tree_to_str(t, labels), lambda s: sum_to_str(s, labels), args)
 
 
 def cmd_words(args) -> int:
@@ -97,15 +96,14 @@ def cmd_words(args) -> int:
     if args.unitize:
         algebra = unitize(algebra)
     word_algebra = WordAlgebra(structure, algebra)
-    value = parse_word_expr(args.expr, algebra, structure.labels, word_algebra)
-    if args.format == "json":
-        from .words import word_to_str
-
-        payload = _sum_payload(value, lambda w: word_to_str(w, algebra, structure.labels))
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        _emit(word_sum_to_str(value, algebra, structure.labels), args.out)
-    return EXIT_OK
+    labels = structure.labels
+    value = parse_word_expr(args.expr, algebra, labels, word_algebra)
+    return _emit_sum(
+        value,
+        lambda w: word_to_str(w, algebra, labels),
+        lambda s: word_sum_to_str(s, algebra, labels),
+        args,
+    )
 
 
 def cmd_enumerate(args) -> int:
@@ -155,8 +153,6 @@ def cmd_verify_tables(args) -> int:
 
 
 def cmd_dendriform(args) -> int:
-    from dataclasses import replace
-
     structure = replace(parse_structure(_read(args.omega)), weight_zero=True)
     algebra = TreeAlgebra(structure)
     view = rba.DendriformView(algebra)
@@ -179,12 +175,8 @@ def cmd_evaluate(args) -> int:
         label, expr = (part.strip() for part in line.split("=", 1))
         subst[label] = parse_tree_expr(expr, structure.labels, algebra)
     image = algebra.evaluate(value, subst, algebra)
-    if args.format == "json":
-        payload = _sum_payload(image, lambda t: tree_to_str(t, structure.labels))
-        _emit(json.dumps(payload, indent=2), args.out)
-    else:
-        _emit(sum_to_str(image, structure.labels), args.out)
-    return EXIT_OK
+    labels = structure.labels
+    return _emit_sum(image, lambda t: tree_to_str(t, labels), lambda s: sum_to_str(s, labels), args)
 
 
 @functools.lru_cache(maxsize=None)

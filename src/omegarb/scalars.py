@@ -213,6 +213,26 @@ class FormalSum:
         return "FormalSum(" + " + ".join(parts) + ")"
 
 
+def format_sum(s: FormalSum, render: Callable, group: bool = False) -> str:
+    """``s`` as text: terms ``render(b)``, ``-render(b)`` or ``c*render(b)``
+    (``c*(render(b))`` with ``group``) joined by " + " and " - "; 0 if empty."""
+    if s.is_zero():
+        return "0"
+    parts = []
+    for b, c in s:
+        body = render(b)
+        if c == 1:
+            parts.append(body)
+        elif c == -1:
+            parts.append("-" + body)
+        else:
+            parts.append(f"{c}*({body})" if group else f"{c}*{body}")
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
 def bilinear_extend(fn: Callable[[object, object], FormalSum]):
     """The unique bilinear extension of a basis-pair map to pairs of sums."""
 

@@ -37,17 +37,8 @@ entry, then the right tail, go straight into one dict; the two
 edge-keeping terms copy their numerators and the weight term multiplies
 them by the int lambda(a, b) * D.  No Fraction arithmetic happens inside.
 
-Exact rationals come back only at the boundary.  ``diamond_basis`` returns
-the canonical FormalSum of a basis pair, cached per pair, and ``product``
-of sums (``scalars.graded_product``) brings each operand to one common
-denominator, adds ints, and divides once per output term.  Both keep the
-numerators they divided as the sum's lift (the memo's own dict, for
-``diamond_basis``), so a product used again as an operand, grafted, or
-compared with another product of the same lift key, stays in ints.  With
-integral weights (D = 1) the numerators are the coefficients, and
-``diamond_basis`` wraps the memo's dict without a copy.  ``product`` of two
-single terms whose coefficients multiply to 1 returns the cached sum
-itself; formal sums are immutable, so callers cannot change it.
+The boundary to exact rationals, ``product``, ``diamond_basis`` and
+``p_op`` are shared with the word algebra in :mod:`omegarb.free`.
 
 The expression parser refuses a tree deeper than ``MAX_TREE_DEPTH`` levels
 with :class:`ExprError`, so products and ``evaluate`` on parsed input stay
@@ -62,11 +53,13 @@ import itertools
 import weakref
 from _weakref import _remove_dead_weakref
 from fractions import Fraction
-from functools import reduce
-from math import lcm
+from functools import partial, reduce
 
+from .expr import MAX_DEPTH as MAX_TREE_DEPTH
+from .expr import ExprError, ExprParser
+from .free import FreeAlgebra
 from .omega import OmegaStructure, StructureError
-from .scalars import FormalSum, accumulate, graded_product, graded_relabel, graded_sum
+from .scalars import FormalSum, format_sum, graded_relabel
 
 __all__ = [
     "Tree",
@@ -280,95 +273,26 @@ def leaf_count(t: Tree) -> int:
     return count
 
 
-def _graded_ops(om: OmegaStructure):
-    """(D, ops) for the graded kernels: D is the least common denominator of
-    the lambda table (1 in weight-0 mode), and ops[a][b] holds the types
-    (a->b, a|>b, a<-b, a<|b, a.b) and the int lambda(a, b) * D, which is 0
-    whenever the weight term vanishes."""
-    lam = None if om.weight_zero else om.lam
-    d = 1 if lam is None else lcm(*[v.denominator for row in lam for v in row])
-    right, rhd, left, lhd = om.right.rows, om.rhd.rows, om.left.rows, om.lhd.rows
-    rng = range(om.size)
-    if lam is None:
-        return d, tuple(
-            tuple((right[a][b], rhd[a][b], left[a][b], lhd[a][b], None, 0) for b in rng)
-            for a in rng
-        )
-    dot = om.dot.rows
-    return d, tuple(
-        tuple(
-            (right[a][b], rhd[a][b], left[a][b], lhd[a][b], dot[a][b],
-             lam[a][b].numerator * (d // lam[a][b].denominator))
-            for b in rng
-        )
-        for a in rng
-    )
-
-
-class TreeAlgebra:
+class TreeAlgebra(FreeAlgebra):
     """The free algebra on trees over a parameter structure.
 
     Elements are formal sums of trees; the product is memoized on basis
     pairs, which makes large exhaustive identity scans cheap.
     """
 
-    def __init__(self, omega: OmegaStructure):
-        if not omega.weight_zero and not omega.has_strict_weight:
-            raise StructureError(
-                "tree product needs strict (dot, lambda) weight data or weight-0 mode"
-            )
-        self.omega = omega
-        self._d, self._ops = _graded_ops(omega)
-        # (t, u) -> {tree: int numerator}, the graded memo of the recursion
-        self._memo: dict = {}
-        # (t, u) -> exact FormalSum, for the pairs diamond_basis was asked for
-        self._cache: dict = {}
+    kind = "tree"
+    # the grade of the numerator memo
+    _grade = staticmethod(edge_count)
+    # bound in the class body, not only inherited: perfbench/tracing.py
+    # wraps these two in each algebra class's own __dict__
+    product = FreeAlgebra.product
+    diamond_basis = FreeAlgebra.diamond_basis
 
     def one(self) -> FormalSum:
         return FormalSum.term(_UNIT)
 
-    def zero(self) -> FormalSum:
-        return FormalSum.zero()
-
-    def element(self, t: Tree) -> FormalSum:
-        return FormalSum.term(t)
-
-    def p_op(self, w: int, x: FormalSum | Tree) -> FormalSum:
-        if isinstance(x, Tree):
-            x = FormalSum.term(x)
-        if not 0 <= w < self.omega.size:
-            raise StructureError(f"type index {w} outside carrier")
-        return graft(w, x)
-
-    def product(self, u: FormalSum | Tree, v: FormalSum | Tree) -> FormalSum:
-        if isinstance(u, Tree):
-            u = FormalSum.term(u)
-        if isinstance(v, Tree):
-            v = FormalSum.term(v)
-        ut = u._terms
-        vt = v._terms
-        if len(ut) == 1 == len(vt):
-            # one basis pair with coefficient 1: the memo's (immutable) sum
-            ((t1, c1),) = ut.items()
-            ((t2, c2),) = vt.items()
-            if c1 * c2 == 1:
-                return self.diamond_basis(t1, t2)
-        return graded_product(u, v, self._diamond, edge_count, self._d)
-
-    def diamond_basis(self, t: Tree, u: Tree) -> FormalSum:
-        """The exact product of two trees, one cached sum per pair."""
-        key = (t, u)
-        hit = self._cache.get(key)
-        if hit is None:
-            num = self._diamond(t, u)
-            if self._d == 1:
-                # integral weights: the numerators are the coefficients
-                hit = FormalSum._raw(num)
-            else:
-                # lifted by the memo's own dict
-                hit = graded_sum(num, edge_count(t) + edge_count(u), edge_count, self._d)
-            self._cache[key] = hit
-        return hit
+    def _prefix(self, w: int):
+        return partial(graft, w)
 
     def _diamond(self, t: Tree, u: Tree) -> dict:
         # the graded numerators of t*u: coefficient * D**(edges lost)
@@ -429,10 +353,7 @@ class TreeAlgebra:
             raise StructureError("target algebra is over a different parameter structure")
         if isinstance(x, Tree):
             return self._evalTree(x, f, target)
-        out: dict = {}
-        for t, c in x._terms.items():
-            accumulate(out, self._evalTree(t, f, target)._terms.items(), c)
-        return FormalSum._raw(out)
+        return x.apply_linear(lambda t: self._evalTree(t, f, target))
 
     def _evalTree(self, t: Tree, f, target):
         # frames [vertex, child index, factors] on an explicit stack, so any
@@ -567,179 +488,30 @@ def tree_to_str(t: Tree, type_labels) -> str:
 
 
 def sum_to_str(s: FormalSum, type_labels) -> str:
-    if s.is_zero():
-        return "0"
-    parts = []
-    for t, c in s:
-        body = tree_to_str(t, type_labels)
-        if c == 1:
-            rendered = body
-        elif c == -1:
-            rendered = "-" + body
-        else:
-            rendered = f"{c}*{body}"
-        parts.append(rendered)
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-"):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
-    return out
+    return format_sum(s, lambda t: tree_to_str(t, type_labels))
 
 
-# The deepest tree an expression may spell out.  Parsing, the product of two
-# such trees and evaluate on one recurse a few frames per level, so at this
-# bound they stay well inside CPython's default recursion limit of 1000.
-MAX_TREE_DEPTH = 100
+class _TreeExprParser(ExprParser):
+    """Tree-sum expressions: the shared grammar of :mod:`omegarb.expr`, with
 
-
-class ExprError(ValueError):
-    """Syntax or name error in a tree/word expression, with position."""
-
-    def __init__(self, message, pos):
-        super().__init__(f"{message} (at position {pos})")
-        self.pos = pos
-
-
-def _tokenize_expr(text):
-    tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()[]|+*":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch == "-" or ch.isdigit():
-            j = i + 1
-            while j < n and (text[j].isdigit() or text[j] == "/"):
-                j += 1
-            if text[i:j] == "-":
-                tokens.append(("-", "-", i))
-            else:
-                try:
-                    Fraction(text[i:j])
-                except (ValueError, ZeroDivisionError):
-                    raise ExprError(f"bad number literal {text[i:j]!r}", i) from None
-                tokens.append(("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ExprError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
-    return tokens
-
-
-class _TreeExprParser:
-    """Recursive-descent parser for tree-sum expressions.
-
-    Grammar::
-
-        expr   := term (('+'|'-') term)*
-        term   := atom ('*' atom)*
-        atom   := SCALAR | tree
-        tree   := '(' child (ANGLE child)* ')'
-        child  := '|'  |  '[' TYPE ']' tree
-
-    ``*`` between two tree atoms is the algebra product and needs an
-    algebra in scope; scalar-by-tree ``*`` is scaling and always available.
+        primary := SCALAR | tree
+        tree    := '(' child (ANGLE child)* ')'
+        child   := '|'  |  '[' TYPE ']' tree
     """
 
-    def __init__(self, text, type_labels, algebra=None):
-        self.tokens = _tokenize_expr(text)
-        self.pos = 0
-        self.depth = 0
-        self.type_index = {lab: i for i, lab in enumerate(type_labels)}
-        self.algebra = algebra
+    kind = "tree"
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ExprError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def parse(self) -> FormalSum:
-        value = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExprError(f"trailing input {tok[1]!r}", tok[2])
-        if isinstance(value, Fraction):
-            if value == 0:
-                return FormalSum.zero()
-            raise ExprError("expression is a bare scalar, not a tree sum", 0)
-        return value
-
-    def expr(self):
-        acc = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            acc = self._combine_add(acc, rhs, op)
-        return acc
-
-    def _combine_add(self, a, b, op):
-        if isinstance(a, Fraction) and a == 0:
-            a = FormalSum.zero()
-        if isinstance(b, Fraction) and b == 0:
-            b = FormalSum.zero()
-        if isinstance(a, Fraction) or isinstance(b, Fraction):
-            raise ExprError("cannot add a bare scalar to a tree sum", self.peek()[2])
-        return a + b if op == "+" else a - b
-
-    def term(self):
-        acc = self.atom()
-        while self.peek()[0] == "*":
-            self.take()
-            rhs = self.atom()
-            acc = self._combine_mul(acc, rhs)
-        return acc
-
-    def _combine_mul(self, a, b):
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return a * b
-        if isinstance(a, Fraction):
-            return b.scale(a)
-        if isinstance(b, Fraction):
-            return a.scale(b)
-        if self.algebra is None:
-            raise ExprError("product of two trees needs an ambient structure", self.peek()[2])
-        return self.algebra.product(a, b)
-
-    def atom(self):
-        negate = False
-        while self.peek()[0] == "-":
-            self.take()
-            negate = not negate
+    def primary(self):
         tok = self.peek()
         if tok[0] == "num":
             self.take()
-            value = Fraction(tok[1])
-        elif tok[0] == "(":
-            value = FormalSum.term(self.tree())
-        else:
-            raise ExprError(f"expected a scalar or '(', found {tok[1]!r}", tok[2])
-        return -value if negate else value
+            return Fraction(tok[1])
+        if tok[0] == "(":
+            return FormalSum.term(self.tree())
+        raise ExprError(f"expected a scalar or '(', found {tok[1]!r}", tok[2])
 
     def tree(self) -> Tree:
-        tok = self.take("(")
-        self.depth += 1
-        if self.depth > MAX_TREE_DEPTH:
-            raise ExprError(f"tree deeper than {MAX_TREE_DEPTH} levels", tok[2])
+        self.enter(self.take("("), "tree")
         children = [self.child()]
         angles = []
         while self.peek()[0] != ")":
@@ -756,12 +528,7 @@ class _TreeExprParser:
             self.take()
             return None
         if tok[0] == "[":
-            self.take()
-            name = self.take("name")
-            if name[1] not in self.type_index:
-                raise ExprError(f"unknown type label {name[1]!r}", name[2])
-            self.take("]")
-            return (self.type_index[name[1]], self.tree())
+            return (self.type_label(), self.tree())
         raise ExprError(f"expected '|' or '[', found {tok[1]!r}", tok[2])
 
 

@@ -20,9 +20,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .expr import ExprError, ExprParser
+from .free import FreeAlgebra
 from .omega import OmegaStructure, StructureError
-from .scalars import FormalSum, accumulate, drop_zeros, graded_product, graded_relabel, graded_sum
-from .trees import MAX_TREE_DEPTH, ExprError, _graded_ops, _tokenize_expr
+from .scalars import FormalSum, drop_zeros, format_sum
 
 __all__ = [
     "FiniteAlgebra",
@@ -195,7 +196,7 @@ def sum_in_sh_prime(s: FormalSum, ua: FiniteAlgebra) -> bool:
     return all(sh_prime_filter(w, ua) for w, _ in s)
 
 
-class WordAlgebra:
+class WordAlgebra(FreeAlgebra):
     """Typed words over a unital algebra, with the inductive product.
 
     The product is the mixable shuffle, memoized on basis pairs.  For two
@@ -217,31 +218,21 @@ class WordAlgebra:
     weight term.  No Fraction arithmetic happens inside.  Words are flat
     tuples, so the kernel reads first letters and types by index and builds
     each word k (x)_w r with one concatenation, ``(k, w) + r``.
-
-    Exact rationals come back only at the boundary.  ``diamond_basis``
-    returns the canonical FormalSum of a basis pair, cached per pair, and
-    ``product`` of sums (``scalars.graded_product``) brings each operand to
-    one common denominator, adds ints, and divides once per output term.
-    Both keep the numerators they divided as the sum's lift, which
-    ``product`` reads back from its operands and ``p_op`` carries over.
-    When D = D_A = 1 the numerators are the coefficients, and
-    ``diamond_basis`` wraps the memo's dict without a copy.  ``product`` of
-    two single terms whose coefficients multiply to 1 returns the cached sum
-    itself; formal sums are immutable, so callers cannot change it.
     """
 
+    kind = "word"
+    # bound in the class body, not only inherited: perfbench/tracing.py
+    # wraps these two in each algebra class's own __dict__
+    product = FreeAlgebra.product
+    diamond_basis = FreeAlgebra.diamond_basis
+
     def __init__(self, omega: OmegaStructure, algebra: FiniteAlgebra):
-        if not omega.weight_zero and not omega.has_strict_weight:
-            raise StructureError(
-                "word product needs strict (dot, lambda) weight data or weight-0 mode"
-            )
+        super().__init__(omega)
         if algebra.unit is None:
             raise StructureError(
                 "word operators need a unital algebra; apply unitize() first"
             )
-        self.omega = omega
         self.algebra = algebra
-        self._d, self._ops = _graded_ops(omega)
         # D_A, the least common denominator of the structure constants, and
         # the first-letter products with coefficients scaled by it
         d_alg = self._d_alg = lcm(
@@ -254,59 +245,21 @@ class WordAlgebra:
             )
             for row in algebra.mult
         )
-        # (a, b) -> {word: int numerator}, the graded memo of the recursion
-        self._memo: dict = {}
-        # (a, b) -> exact FormalSum, for the pairs diamond_basis was asked for
-        self._cache: dict = {}
+
+    @staticmethod
+    def _grade(w: TypedWord) -> int:
+        # the grade of the numerator memo: letters minus one
+        return len(w) // 2
 
     def one(self) -> FormalSum:
         return FormalSum.term(TypedWord((self.algebra.unit,), ()))
 
-    def zero(self) -> FormalSum:
-        return FormalSum.zero()
-
     def word(self, entries, types) -> FormalSum:
         return FormalSum.term(TypedWord(entries, types))
 
-    def p_op(self, w: int, x: FormalSum | TypedWord) -> FormalSum:
-        if isinstance(x, TypedWord):
-            x = FormalSum.term(x)
-        if not 0 <= w < self.omega.size:
-            raise StructureError(f"type index {w} outside carrier")
+    def _prefix(self, w: int):
         prefix = (self.algebra.unit, w)
-        return graded_relabel(x, lambda word: tuple.__new__(TypedWord, prefix + word))
-
-    def product(self, u: FormalSum | TypedWord, v: FormalSum | TypedWord) -> FormalSum:
-        if isinstance(u, TypedWord):
-            u = FormalSum.term(u)
-        if isinstance(v, TypedWord):
-            v = FormalSum.term(v)
-        ut = u._terms
-        vt = v._terms
-        if len(ut) == 1 == len(vt):
-            # one basis pair with coefficient 1: the memo's (immutable) sum
-            ((w1, c1),) = ut.items()
-            ((w2, c2),) = vt.items()
-            if c1 * c2 == 1:
-                return self.diamond_basis(w1, w2)
-        return graded_product(u, v, self._diamond, _grade, self._d, self._d_alg)
-
-    def diamond_basis(self, a: TypedWord, b: TypedWord) -> FormalSum:
-        """The exact product of two words, one cached sum per pair."""
-        key = (a, b)
-        hit = self._cache.get(key)
-        if hit is None:
-            num = self._diamond(a, b)
-            if self._d == 1 == self._d_alg:
-                # integral weights and structure constants: the numerators
-                # are the coefficients
-                hit = FormalSum._raw(num)
-            else:
-                # lifted by the memo's own dict
-                top = len(a) // 2 + len(b) // 2
-                hit = graded_sum(num, top, _grade, self._d, self._d_alg)
-            self._cache[key] = hit
-        return hit
+        return lambda word: tuple.__new__(TypedWord, prefix + word)
 
     def _diamond(self, a: TypedWord, b: TypedWord) -> dict:
         # the graded numerators of a*b: coefficient * D**(letters lost)
@@ -352,11 +305,6 @@ class WordAlgebra:
         return res
 
 
-def _grade(w: TypedWord) -> int:
-    # the grade of the numerator memo: letters minus one
-    return len(w) // 2
-
-
 def word_evaluate(x: FormalSum | TypedWord, f, R, algebra: FiniteAlgebra):
     """The universal morphism: f on length-one words, then
     fbar(a0 (x)_t tail) = f(a0) * P_t(fbar(tail)).
@@ -366,10 +314,7 @@ def word_evaluate(x: FormalSum | TypedWord, f, R, algebra: FiniteAlgebra):
     """
     for i in range(algebra.dim):
         for j in range(algebra.dim):
-            expect: dict = {}
-            for k, c in algebra.product_basis(i, j)._terms.items():
-                accumulate(expect, f[k]._terms.items(), c)
-            if R.product(f[i], f[j]) != FormalSum._raw(expect):
+            if R.product(f[i], f[j]) != algebra.product_basis(i, j).apply_linear(lambda k: f[k]):
                 raise StructureError(
                     f"f is not an algebra morphism on basis pair ({i},{j})"
                 )
@@ -383,10 +328,7 @@ def word_evaluate(x: FormalSum | TypedWord, f, R, algebra: FiniteAlgebra):
 
     if isinstance(x, TypedWord):
         return eval_word(x)
-    out: dict = {}
-    for w, c in x._terms.items():
-        accumulate(out, eval_word(w)._terms.items(), c)
-    return FormalSum._raw(out)
+    return x.apply_linear(eval_word)
 
 
 # ---------------------------------------------------------------------------
@@ -458,110 +400,40 @@ def word_to_str(w: TypedWord, algebra: FiniteAlgebra, type_labels) -> str:
 
 
 def word_sum_to_str(s: FormalSum, algebra: FiniteAlgebra, type_labels) -> str:
-    if s.is_zero():
-        return "0"
-    parts = []
-    for w, c in s:
-        body = word_to_str(w, algebra, type_labels)
-        if c == 1:
-            parts.append(body)
-        elif c == -1:
-            parts.append("-" + body)
-        else:
-            parts.append(f"{c}*({body})")
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+    return format_sum(s, lambda w: word_to_str(w, algebra, type_labels), group=True)
 
 
-class _WordExprParser:
-    """Word-sum expressions: same +/- /* layering as tree expressions, with
-    atoms ``entry [type] entry [type] entry`` and optional '(...)' grouping."""
+class _WordExprParser(ExprParser):
+    """Word-sum expressions: the shared grammar of :mod:`omegarb.expr`, with
+
+        primary := SCALAR | word | '(' expr ')'
+        word    := ENTRY ('[' TYPE ']' ENTRY)*
+    """
+
+    kind = "word"
 
     def __init__(self, text, algebra: FiniteAlgebra, type_labels, word_algebra=None):
-        self.tokens = _tokenize_expr(text)
-        self.pos = 0
-        self.depth = 0
-        self.algebra = algebra
+        super().__init__(text, type_labels, word_algebra)
         self.entry_index = {lab: i for i, lab in enumerate(algebra.labels)}
-        self.type_index = {lab: i for i, lab in enumerate(type_labels)}
-        self.word_algebra = word_algebra
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ExprError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def parse(self) -> FormalSum:
-        value = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ExprError(f"trailing input {tok[1]!r}", tok[2])
-        if isinstance(value, Fraction):
-            if value == 0:
-                return FormalSum.zero()
-            raise ExprError("expression is a bare scalar, not a word sum", 0)
-        return value
-
-    def expr(self):
-        acc = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            if isinstance(acc, Fraction) or isinstance(rhs, Fraction):
-                raise ExprError("cannot add a bare scalar to a word sum", self.peek()[2])
-            acc = acc + rhs if op == "+" else acc - rhs
-        return acc
-
-    def term(self):
-        acc = self.atom()
-        while self.peek()[0] == "*":
-            self.take()
-            rhs = self.atom()
-            if isinstance(acc, Fraction) and isinstance(rhs, Fraction):
-                acc = acc * rhs
-            elif isinstance(acc, Fraction):
-                acc = rhs.scale(acc)
-            elif isinstance(rhs, Fraction):
-                acc = acc.scale(rhs)
-            else:
-                if self.word_algebra is None:
-                    raise ExprError("product of two words needs an ambient structure", self.peek()[2])
-                acc = self.word_algebra.product(acc, rhs)
-        return acc
-
-    def atom(self):
-        negate = False
-        while self.peek()[0] == "-":
-            self.take()
-            negate = not negate
+    def primary(self):
         tok = self.peek()
         if tok[0] == "num" and tok[1] not in self.entry_index:
             # numeric basis labels (the adjoined unit is labelled "1") win
             # over scalar literals; for a unital algebra the two readings of
             # an expression like "1 * w" agree anyway
             self.take()
-            value = Fraction(tok[1])
-        elif tok[0] in ("name", "num"):
-            value = FormalSum.term(self.word())
-        elif tok[0] == "(":
+            return Fraction(tok[1])
+        if tok[0] in ("name", "num"):
+            return FormalSum.term(self.word())
+        if tok[0] == "(":
             # groups nest no deeper than trees do in tree expressions
-            self.take()
-            self.depth += 1
-            if self.depth > MAX_TREE_DEPTH:
-                raise ExprError(f"groups nested deeper than {MAX_TREE_DEPTH} levels", tok[2])
+            self.enter(self.take(), "groups nested")
             value = self.expr()
             self.take(")")
             self.depth -= 1
-        else:
-            raise ExprError(f"expected a scalar, '(' or an entry label, found {tok[1]!r}", tok[2])
-        return -value if negate else value
+            return value
+        raise ExprError(f"expected a scalar, '(' or an entry label, found {tok[1]!r}", tok[2])
 
     def word(self) -> TypedWord:
         entries = [self._entry()]
@@ -569,12 +441,7 @@ class _WordExprParser:
         while self.peek()[0] == "[":
             if len(entries) == MAX_WORD_LENGTH:
                 raise ExprError(f"word longer than {MAX_WORD_LENGTH} letters", self.peek()[2])
-            self.take()
-            name = self.take("name")
-            if name[1] not in self.type_index:
-                raise ExprError(f"unknown type label {name[1]!r}", name[2])
-            types.append(self.type_index[name[1]])
-            self.take("]")
+            types.append(self.type_label())
             entries.append(self._entry())
         return TypedWord(tuple(entries), tuple(types))
 

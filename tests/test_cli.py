@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -294,6 +295,56 @@ def test_fuzz_parse_word_expr(text):
     _returns_or_rejects(
         lambda t: parse_word_expr(t, POLY, FAMILY_STRUCTURE.labels, algebra), text
     )
+
+
+# (noun, parser taking (text, algebra), an element, its algebra)
+GRAMMARS = {
+    "tree": (
+        lambda text, alg: parse_tree_expr(text, FAMILY_STRUCTURE.labels, alg),
+        "([a](| x |) y |)",
+        lambda: TreeAlgebra(FAMILY_STRUCTURE),
+    ),
+    "word": (
+        lambda text, alg: parse_word_expr(text, POLY, FAMILY_STRUCTURE.labels, alg),
+        "1 [a] x",
+        lambda: WordAlgebra(FAMILY_STRUCTURE, POLY),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GRAMMARS))
+def test_both_grammars_share_sums_scaling_and_signs(kind, family_file, algebra_file, capsys):
+    parse, s, make_algebra = GRAMMARS[kind]
+    x = parse(s, None)
+    assert not x.is_zero()
+    # a bare 0 is the zero sum on either side of + and -
+    assert parse(f"0 + {s}", None) == x == parse(f"{s} + 0", None) == parse(f"{s} - 0", None)
+    assert parse(f"0 - {s}", None) == -x
+    assert parse("0", None).is_zero() and parse("0 + 0", None).is_zero()
+    # any other bare scalar is refused, with the grammar's noun
+    for text in (f"2 + {s}", f"{s} - 3/2", f"2 * 3 + {s}"):
+        with pytest.raises(ExprError, match=f"cannot add a bare scalar to a {kind} sum"):
+            parse(text, None)
+    with pytest.raises(ExprError, match=f"expression is a bare scalar, not a {kind} sum"):
+        parse("- 2 * 3", None)
+    # runs of unary minus
+    assert parse(f"- - - {s}", None) == -x
+    assert parse(f"- - {s}", None) == x
+    assert parse(f"-2 * - {s} * 3/4", None) == x.scale(Fraction(3, 2))
+    # '*' between two sums needs an algebra
+    with pytest.raises(ExprError, match=f"product of two {kind}s needs an ambient structure"):
+        parse(f"{s} * {s}", None)
+    algebra = make_algebra()
+    assert parse(f"{s} * {s}", algebra) == algebra.product(x, x)
+    # the CLI accepts 0 + s in both commands
+    if kind == "tree":
+        argv = ["product", "--omega", family_file]
+    else:
+        argv = ["words", "--omega", family_file, "--algebra", algebra_file]
+    assert main(argv + ["--expr", s]) == 0
+    alone = capsys.readouterr().out
+    assert main(argv + ["--expr", f"0 + {s}"]) == 0
+    assert capsys.readouterr().out == alone
 
 
 # -- over-deep input is refused up front ----------------------------------------

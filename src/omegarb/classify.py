@@ -151,6 +151,8 @@ def enumerate_level(level: str, n: int = 2, workers: int | None = None) -> Enume
         raise StructureError(f"enumeration is supported for sizes 1 and 2, not {n}")
     if workers is None:
         workers = int(os.environ.get("OMEGARB_WORKERS", "1"))
+    if workers < 1:
+        raise StructureError(f"enumeration needs at least 1 worker, not {workers}")
     tabs = all_op_rows(n)
     prefixes = [(L, R) for L in tabs for R in tabs]
     if workers > 1:
@@ -184,15 +186,28 @@ def diff_against_fixtures(result: EnumerationResult):
     return sorted(expected - found), sorted(found - expected)
 
 
-def load_fixture_file(path: str):
+def load_fixture_file(path: str, level: str | None = None, size: int | None = None):
+    """(level, size, canonical classes) of a fixture JSON file.
+
+    A file without the fixture's shape, or (when ``level`` and ``size`` are
+    given) one made for another level or size, raises StructureError before
+    any class is canonicalized."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    names = LEVEL_FIELDS[data["level"]]
-    out = set()
-    for rec in data["classes"]:
-        tabs = tuple(tuple(tuple(row) for row in rec[name]) for name in names)
-        out.add(canonical_tuple(tabs, data["size"]))
-    return data["level"], data["size"], out
+    try:
+        got = data["level"], data["size"]
+        names = LEVEL_FIELDS[got[0]]
+        if level is not None and got != (level, size):
+            raise StructureError(
+                f"fixture file is for level {got[0]!r} size {got[1]}, got {level!r} size {size}"
+            )
+        out = set()
+        for rec in data["classes"]:
+            tabs = tuple(tuple(tuple(row) for row in rec[name]) for name in names)
+            out.add(canonical_tuple(tabs, got[1]))
+    except (KeyError, TypeError, IndexError) as exc:
+        raise StructureError(f"{path} is not a classification fixture ({exc!r})") from None
+    return got[0], got[1], out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,12 @@ numerators they divided as the sum's lift (the memo's own dict, for
 ``diamond_basis``), so a product used again as an operand, passed through
 ``p_op``, or compared with another product of the same lift key, stays in
 ints.  When D = D_A = 1 the numerators are the coefficients, and
-``diamond_basis`` wraps the memo's dict without a copy.  ``product`` of two
+``diamond_basis`` wraps the memo's dict without a copy, for trees.  A
+subclass whose kernel keys its numerators by plain values that compare
+like its basis elements (words: exact tuples, see :class:`WordAlgebra`)
+sets ``_wrap``, a staticmethod that maps those keys, in order, to basis
+elements; every formal sum is then keyed by its result, and only the lift
+keeps the kernel's keys.  ``product`` of two
 single terms whose coefficients multiply to 1 returns the cached sum
 itself; formal sums are immutable, so callers cannot change it.
 """
@@ -66,6 +71,9 @@ class FreeAlgebra:
     kind = ""
     # D_A, the common denominator of the structure constants in the kernel
     _d_alg = 1
+    # None, or a staticmethod that maps the kernel's keys, in order, to
+    # the basis elements of the formal sums
+    _wrap = None
 
     def __init__(self, omega: OmegaStructure):
         if not omega.weight_zero and not omega.has_strict_weight:
@@ -102,7 +110,7 @@ class FreeAlgebra:
             ((t, c2),) = vt.items()
             if c1 * c2 == 1:
                 return self.diamond_basis(s, t)
-        return graded_product(u, v, self._diamond, self._grade, self._d, self._d_alg)
+        return graded_product(u, v, self._diamond, self._grade, self._d, self._d_alg, self._wrap)
 
     def diamond_basis(self, s, t) -> FormalSum:
         """The exact product of two basis elements, one cached sum per pair."""
@@ -110,13 +118,14 @@ class FreeAlgebra:
         hit = self._cache.get(key)
         if hit is None:
             num = self._diamond(s, t)
+            wrap = self._wrap
             if self._d == 1 == self._d_alg:
                 # integral weights and structure constants: the numerators
                 # are the coefficients
-                hit = FormalSum._raw(num)
+                hit = FormalSum._raw(num if wrap is None else dict(zip(wrap(num), num.values())))
             else:
                 # lifted by the memo's own dict
                 grade = self._grade
-                hit = graded_sum(num, grade(s) + grade(t), grade, self._d, self._d_alg)
+                hit = graded_sum(num, grade(s) + grade(t), grade, self._d, self._d_alg, wrap=wrap)
             self._cache[key] = hit
         return hit

@@ -119,8 +119,11 @@ def tree_samples(omega_size: int, alphabet=("x", "y"), count: int = 8, seed: int
     """Deterministic seeded sample of tree elements (as formal sums).
 
     Draws basis trees from the exhaustive pool with <= 2 leaves and depth
-    <= 2, always including the identity and the single-angle corollas.
+    <= 2, always including the identity and the single-angle corollas.  A
+    count below 1 is refused: it would check nothing.
     """
+    if count < 1:
+        raise ValueError(f"sample count must be at least 1, got {count}")
     pool = _trees.all_trees(alphabet, omega_size, max_leaves=2, max_depth=2)
     rng = random.Random(seed)
     picked = [_trees.unit()] + [_trees.corolla((g,)) for g in alphabet]

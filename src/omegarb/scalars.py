@@ -247,7 +247,7 @@ def bilinear_extend(fn: Callable[[object, object], FormalSum]):
 
 
 def graded_product(x: FormalSum, y: FormalSum, kernel: Callable, grade: Callable,
-                   d: int = 1, d_alg: int = 1) -> FormalSum:
+                   d: int = 1, d_alg: int = 1, wrap: Callable | None = None) -> FormalSum:
     """The product of two sums through a graded integer kernel.
 
     ``kernel(bx, by)`` returns a dict {basis: n} of nonzero int numerators
@@ -258,7 +258,9 @@ def graded_product(x: FormalSum, y: FormalSum, kernel: Callable, grade: Callable
     one common denominator and lifted to its top grade (see
     :func:`_operand`), so the inner loop adds ints only, and each output
     term takes one exact division.  The output carries its lift, unless
-    the numerators are its coefficients (d, d_alg and U all 1).
+    the numerators are its coefficients (d, d_alg and U all 1).  ``wrap``,
+    if given, maps the kernel's keys to the output's basis elements (see
+    :func:`graded_sum`).
     """
     xt, yt = x._terms, y._terms
     if not xt or not yt:
@@ -288,33 +290,36 @@ def graded_product(x: FormalSum, y: FormalSum, kernel: Callable, grade: Callable
     base = ux * uy
     if d == 1 == d_alg == base:
         # the numerators are the coefficients
-        return FormalSum._raw(acc)
-    return graded_sum(acc, tx + ty, grade, d, d_alg, base)
+        return FormalSum._raw(acc if wrap is None else dict(zip(wrap(acc), acc.values())))
+    return graded_sum(acc, tx + ty, grade, d, d_alg, base, wrap)
 
 
 def graded_sum(num: dict, top: int, grade: Callable, d: int = 1, d_alg: int = 1,
-               base: int = 1) -> FormalSum:
+               base: int = 1, wrap: Callable | None = None) -> FormalSum:
     """The exact sum with coefficients ``num[b] / (base * d**(top - grade(b))
     * d_alg**(grade(b) + 1))``, one exact division per term, carrying
     ``num`` as its lift.  ``num`` holds nonzero ints; it is referenced, not
     copied, and must not change afterwards.  With d > 1 no grade exceeds
-    top; with d = 1 top plays no part and the key records 0.  Callers whose
+    top; with d = 1 top plays no part and the key records 0.  ``wrap``, if
+    given, maps the keys of ``num``, in order, to the basis elements the sum
+    holds: the kernel may key its numerators by plain values that compare
+    and hash like them, and the lift keeps those keys.  Callers whose
     numerators are the coefficients (d, d_alg and base all 1) wrap them with
     no lift instead."""
     if d == 1:
         top = 0
         if d_alg == 1:
-            out = {b: quotient(n, base) for b, n in num.items()}
+            values = [quotient(n, base) for n in num.values()]
         else:
-            out = {b: quotient(n, base * d_alg ** (grade(b) + 1)) for b, n in num.items()}
+            values = [quotient(n, base * d_alg ** (grade(b) + 1)) for b, n in num.items()]
     else:
         # the denominator of each grade, indexed by top - grade
         dens = [base * d_alg ** (top - k + 1) * d ** k for k in range(top + 1)]
-        out = {}
-        for b, n in num.items():
-            den = dens[top - grade(b)]
-            q, r = divmod(n, den)
-            out[b] = Fraction(n, den) if r else q
+        values = [
+            Fraction(n, den) if n % (den := dens[top - grade(b)]) else n // den
+            for b, n in num.items()
+        ]
+    out = dict(zip(num if wrap is None else wrap(num), values))
     return FormalSum._raw(out, ((grade, d, d_alg, base, top), num))
 
 

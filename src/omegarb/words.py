@@ -6,18 +6,20 @@ associativity, the unit law, and the commutativity flag are verified at
 construction.  A :class:`TypedWord` alternates basis indices of the algebra
 with type indices of the parameter structure; it is a ``tuple`` subclass
 holding that flat interleaving, so word keys hash and compare in C, and a
-word equals the plain tuple with the same contents.  Multilinearity in the
-algebra slots is resolved by expanding products over the basis, so word sums
-stay in canonical form.  :class:`WordAlgebra` implements the four-case inductive
-product, the prepend operators P_w, and the universal morphism; ``unitize``
-adjoins a unit (new basis index 0) and ``sh_prime_filter`` recognizes the
-free-object subspace generated by a non-unital algebra inside its
-unitization.
+word equals the plain tuple with the same contents.  The product's kernel
+works on those plain tuples, and formal sums hold TypedWords.
+Multilinearity in the algebra slots is resolved by expanding products over
+the basis, so word sums stay in canonical form.  :class:`WordAlgebra`
+implements the four-case inductive product, the prepend operators P_w, and
+the universal morphism; ``unitize`` adjoins a unit (new basis index 0) and
+``sh_prime_filter`` recognizes the free-object subspace generated by a
+non-unital algebra inside its unitization.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 
 from .expr import ExprError, ExprParser
@@ -122,8 +124,10 @@ class TypedWord(tuple):
     the algebra (even positions) and type indices of the parameter structure
     (odd positions).  ``entries`` and ``types`` are slices of it.  Hashing
     and equality are tuple's own, so dict lookups on word keys run in C.
-    One side effect: a word compares equal to, and hashes like, the plain
-    tuple with the same flat contents.  No formal sum mixes the two.
+    A word compares equal to, and hashes like, the plain tuple with the same
+    flat contents.  :class:`WordAlgebra` relies on it: its memo and lifts
+    hold plain tuples, and every formal sum it returns holds TypedWords, so
+    no formal sum mixes the two.
     """
 
     __slots__ = ()
@@ -218,6 +222,13 @@ class WordAlgebra(FreeAlgebra):
     weight term.  No Fraction arithmetic happens inside.  Words are flat
     tuples, so the kernel reads first letters and types by index and builds
     each word k (x)_w r with one concatenation, ``(k, w) + r``.
+
+    The kernel's words, the memo's keys and values, and so the lifts that
+    share them, are exact tuples, not TypedWords: CPython's cyclic GC stops
+    tracking an exact tuple of ints after one collection, but never a tuple
+    subclass, which every later full collection would walk again.  ``_wrap``
+    makes the TypedWord keys in one pass where a formal sum is built, so
+    every sum the algebra returns holds TypedWords.
     """
 
     kind = "word"
@@ -261,14 +272,18 @@ class WordAlgebra(FreeAlgebra):
         prefix = (self.algebra.unit, w)
         return lambda word: tuple.__new__(TypedWord, prefix + word)
 
-    def _diamond(self, a: TypedWord, b: TypedWord) -> dict:
+    @staticmethod
+    def _wrap(words):
+        # the kernel's exact-tuple words as TypedWords, in one C-level pass
+        return map(tuple.__new__, repeat(TypedWord), words)
+
+    def _diamond(self, a: tuple, b: tuple) -> dict:
         # the graded numerators of a*b: coefficient * D**(letters lost)
-        # * D_A**len(word)
+        # * D_A**len(word), keyed by exact tuples
         key = (a, b)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        new = tuple.__new__
         head = self._heads[a[0]][b[0]]
         if not head:
             # the first letters multiply to zero, and so does everything
@@ -277,16 +292,16 @@ class WordAlgebra(FreeAlgebra):
             # at most one factor goes on after its first letter
             rest = (b if len(a) == 1 else a)[1:]
             scale = self._d_alg ** (len(rest) // 2)
-            res = {new(TypedWord, (k,) + rest): hk * scale for k, hk in head}
+            res = {(k,) + rest: hk * scale for k, hk in head}
         else:
             e = self.algebra.unit
             right, rhd, left, lhd, dot, lam = self._ops[a[1]][b[1]]
-            ta, tb = new(TypedWord, a[2:]), new(TypedWord, b[2:])
+            ta, tb = a[2:], b[2:]
             diamond = self._diamond
             # (type w, numerators of the words after it, int factor)
             parts = [
-                (right, diamond(new(TypedWord, (e, rhd) + ta), tb), 1),
-                (left, diamond(ta, new(TypedWord, (e, lhd) + tb)), 1),
+                (right, diamond((e, rhd) + ta, tb), 1),
+                (left, diamond(ta, (e, lhd) + tb), 1),
             ]
             if lam:
                 # the weight term drops a letter: one grade up
@@ -296,12 +311,14 @@ class WordAlgebra(FreeAlgebra):
             for w, sub, factor in parts:
                 items = sub.items()
                 for k, hk in head:
-                    f = hk * factor
+                    kw, f = (k, w), hk * factor
                     for word, n in items:
-                        word = new(TypedWord, (k, w) + word)
+                        word = kw + word
                         acc[word] = get(word, 0) + f * n
             res = drop_zeros(acc) if 0 in acc.values() else acc
-        self._memo[key] = res
+        # a slice of a TypedWord is an exact tuple, and of a tuple the tuple
+        # itself: only a top-level call from a formal sum changes the key
+        self._memo[a[:], b[:]] = res
         return res
 
 

@@ -246,6 +246,59 @@ def test_enumerate_refuses_unsupported_sizes(monkeypatch, capsys, size):
     assert err.startswith("error:") and "sizes 1 and 2" in err and len(err.splitlines()) == 1
 
 
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    from omegarb import classify
+
+    def refused(n):
+        raise AssertionError("the enumeration must not start")
+
+    monkeypatch.setattr(classify, "all_op_rows", refused)
+
+
+def _refused(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+    return err
+
+
+def test_enumerate_refuses_a_missing_fixture_first(no_enumeration, tmp_path, capsys):
+    err = _refused(["enumerate", "--level", "eds", "--diff", str(tmp_path / "none.json")], capsys)
+    assert "none.json" in err
+
+
+def test_enumerate_refuses_a_non_json_fixture_first(no_enumeration, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("level = eds\n")
+    _refused(["enumerate", "--level", "eds", "--diff", str(bad)], capsys)
+    for text in ("[]", '{"level": "nope", "size": 2, "classes": []}',
+                 '{"level": "eds", "size": 2, "classes": [{"left": 3}]}'):
+        bad.write_text(text)
+        assert "not a classification fixture" in _refused(
+            ["enumerate", "--level", "eds", "--diff", str(bad)], capsys)
+
+
+def test_enumerate_refuses_a_fixture_of_another_level_first(no_enumeration, capsys):
+    err = _refused(["enumerate", "--level", "eds", "--diff", "fixtures/ets2.json"], capsys)
+    assert "level 'ets' size 2, got 'eds' size 2" in err
+    err = _refused(["enumerate", "--level", "ets", "--size", "1", "--diff", "fixtures/ets2.json"],
+                   capsys)
+    assert "got 'ets' size 1" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_enumerate_refuses_workers_below_one(no_enumeration, capsys, workers):
+    err = _refused(["enumerate", "--level", "diassoc", "--workers", workers], capsys)
+    assert f"at least 1 worker, not {workers}" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_dendriform_refuses_a_sample_count_below_one(family_file, capsys, count):
+    err = _refused(["dendriform", "--omega", family_file, "--samples", count], capsys)
+    assert f"at least 1, got {count}" in err
+
+
 def _mutations(valid):
     """The valid text with one span replaced by a short random string."""
     pieces = "0123456789-/[]{}:,=;# \n|()*+xyab"

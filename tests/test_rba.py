@@ -103,3 +103,10 @@ def test_dendriform_fails_over_broken_side_tables():
     triples = [(a, b, c) for a in samples for b in samples for c in samples]
     report = check_dendriform(view, triples)
     assert not report.ok
+
+
+@pytest.mark.parametrize("count", [0, -1, -5])
+def test_tree_samples_refuse_a_count_below_one(count):
+    with pytest.raises(ValueError, match="at least 1"):
+        tree_samples(2, count=count)
+    assert len(tree_samples(2, count=1)) == 1

@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 import random
 import sys
@@ -498,12 +499,16 @@ def test_mixed_denominators_match_composed_recursion(lam, weight_zero, c, u, v, 
 def test_integral_data_share_the_memo_dict():
     a, b = TypedWord((1, 0), (0,)), TypedWord((0, 1, 1), (1, 0))
     W = WordAlgebra(family_structure(Fraction(2)), truncated_poly())
-    assert W.diamond_basis(a, b)._terms is W._memo[(a, b)]
+    # the memo keys its words by exact tuples, so the sum holds a TypedWord copy
+    got = W.diamond_basis(a, b)
+    assert got == ComposedWordAlgebra(W.omega, W.algebra).diamond_basis(a, b)
+    assert all(type(w) is TypedWord for w in got._terms)
     for s, A in ((family_structure(Fraction(1, 2)), truncated_poly()),
                  (family_structure(Fraction(1)), square_line(Fraction(1, 2)))):
         W = WordAlgebra(s, A)
         got = W.diamond_basis(a, b)
         assert got._terms is not W._memo[(a, b)]
+        assert got._lift[1] is W._memo[(a, b)]
         assert got == ComposedWordAlgebra(s, A).diamond_basis(a, b)
 
 
@@ -563,7 +568,7 @@ def test_kernel_words_equal_public_words():
 
 
 @pytest.mark.parametrize("lam", [Fraction(1), Fraction(1, 2)])
-def test_kernel_builds_only_typed_words(lam):
+def test_kernel_keeps_exact_tuples_and_sums_hold_typed_words(lam):
     W = WordAlgebra(family_structure(lam), truncated_poly())
     pool = all_words(2, 2, 3)
     outputs = []
@@ -572,12 +577,17 @@ def test_kernel_builds_only_typed_words(lam):
             outputs.append(W.diamond_basis(a, b))
             outputs.append(W.product(fs(a, 2) + fs(b), fs(b, Fraction(1, 3))))
         outputs.append(W.p_op(1, fs(a)))
+        outputs.append(W.p_op(0, outputs[-2]))
     for a, b in W._memo:
-        assert type(a) is TypedWord and type(b) is TypedWord
+        assert type(a) is tuple and type(b) is tuple
     for res in W._memo.values():
-        assert all(type(w) is TypedWord for w in res)
+        assert all(type(w) is tuple for w in res)
     for out in outputs:
         assert all(type(w) is TypedWord for w in out._terms)
+    # exact tuples of ints leave the cyclic GC's lists; a tuple subclass never does
+    gc.collect()
+    sample = [w for res in list(W._memo.values())[::5] for w in res]
+    assert sample and not any(gc.is_tracked(w) for w in sample)
 
 
 # -- the graded lift on product outputs -------------------------------------------

@@ -14,12 +14,14 @@ level.  All checkers are report-based: they scan every triple and return an
 :class:`AxiomReport` with one entry per violated equation tag (first witness
 in lexicographic triple order, plus the total count).
 
-The equation table :data:`POINTWISE_EQUATIONS` is the one source of the
-pointwise identities: one row (tag, text, weight guard) each.  In a text,
-``*`` is the star table, except between ``L[...]`` factors, where it is the
-product of weights.  Each level's report scanner and the early-exit filter
-that the enumeration uses are compiled from the rows on first use, so adding
-an identity means adding one row (and its tag to the level that checks it).
+Each identity is written once, as the text that reports print, and every
+checker is compiled from the texts on first use.  :data:`POINTWISE_EQUATIONS`
+has one row (tag, text, weight guard) per pointwise identity; in a text, ``*``
+is the star table, except between ``L[...]`` factors, where it is the product
+of weights.  :data:`MAP_EQUATIONS` has one row (tag, text) per map identity,
+each side read right to left, ``(X x id)`` and ``(id x X)`` setting the pair
+of tensor factors that X acts on.  Adding an identity means adding one row
+(and its tag to the level that checks it).
 """
 
 from __future__ import annotations
@@ -62,6 +64,8 @@ __all__ = [
     "LEVELS",
     "parse_equation",
     "pointwise_filter",
+    "MAP_EQUATIONS",
+    "parse_map_equation",
     "MAP_TO_POINTWISE_TAGS",
     "ETS_MAP_TO_POINTWISE_TAGS",
 ]
@@ -177,6 +181,8 @@ class OmegaStructure:
         n = self.size
         if len(self.labels) != n:
             raise StructureError("labels count must match size")
+        if len(set(self.labels)) < n:
+            raise StructureError(f"labels {' '.join(map(str, self.labels))!r} repeat a label")
         for name in ("left", "right", "lhd", "rhd", "dot", "star"):
             table = getattr(self, name)
             if table is not None and table.n != n:
@@ -334,24 +340,29 @@ POINTWISE_EQUATIONS = (
     ("EQ33", "(a.b)*c = b*c", None),
 )
 
-EQUATION_TEXT = {tag: text for tag, text, _ in POINTWISE_EQUATIONS} | {
-    "eds1": "(tau x id)(id x phiL)(tau x id)(phiR x id) = (phiR x id)(id x phiL)",
-    "eds2": "(id x phiL)(tau x id)(id x phiL)(tau x id)(phiL x id) = (phiL x id)(id x phiL)",
-    "eds3": "(id x phiR)(tau x id)(id x phiL)(tau x id)(phiL x id) = (phiL x id)(id x phiR)",
-    "eds4": "(id x phiL)(phiR x id)(id x phiR) = (phiR x id)(id x tau)(phiL x id)",
-    "eds5": "(id x phiR)(phiR x id)(id x phiR) = (phiR x id)(id x tau)(phiR x id)",
-    "equ1": "phiR(id x psi) = (psi x id)(id x tau)(phiR x id)",
-    "equ2": "(psi x id)(id x tau)(id x phiL)(tau x id)(phiL x id) = tau.phiL(id x psi)",
-    "equ3": "(id x psi)(phiR x id)(id x phiR) = phiR(psi x id)",
-    "equ4": "(psi x id)(id x tau)(phiL x id) = (psi x id)(id x phiR)",
-    "equ5": "(psi x id)(id x phiL) = phiL(psi x id)",
-    "equ6": "psi(psi x id) = psi(id x psi)",
-    "equu1": "(tau x id)(id x phiS)(tau x id)(phiR x id) = (phiR x id)(id x phiS)",
-    "equu2": "(id x phiS)(tau x id)(id x phiL)(tau x id)(phiL x id) = (phiL x id)(id x phiS)",
-    "equu3": "(id x phiS)(phiR x id)(id x phiR) = (phiR x id)(id x tau)(phiS x id)",
-    "equu4": "(id x phiS)(tau x id)(phiL x id) = (id x phiS)(tau x id)(id x tau)(id x phiR)",
-    "equu5": "(phiS x id)(id x phiL) = (tau x id)(id x phiL)(tau x id)(phiS x id)",
-    "equu6": "(phiS x id)(id x tau)(phiS x id) = (id x tau)(phiS x id)(id x phiS)",
+# One row (tag, text) per map identity on the triple tensor power; how a text
+# reads is set out above the map-level checkers, which are compiled from it.
+MAP_EQUATIONS = (
+    ("eds1", "(tau x id)(id x phiL)(tau x id)(phiR x id) = (phiR x id)(id x phiL)"),
+    ("eds2", "(id x phiL)(tau x id)(id x phiL)(tau x id)(phiL x id) = (phiL x id)(id x phiL)"),
+    ("eds3", "(id x phiR)(tau x id)(id x phiL)(tau x id)(phiL x id) = (phiL x id)(id x phiR)"),
+    ("eds4", "(id x phiL)(phiR x id)(id x phiR) = (phiR x id)(id x tau)(phiL x id)"),
+    ("eds5", "(id x phiR)(phiR x id)(id x phiR) = (phiR x id)(id x tau)(phiR x id)"),
+    ("equ1", "phiR(id x psi) = (psi x id)(id x tau)(phiR x id)"),
+    ("equ2", "(psi x id)(id x tau)(id x phiL)(tau x id)(phiL x id) = tau.phiL(id x psi)"),
+    ("equ3", "(id x psi)(phiR x id)(id x phiR) = phiR(psi x id)"),
+    ("equ4", "(psi x id)(id x tau)(phiL x id) = (psi x id)(id x phiR)"),
+    ("equ5", "(psi x id)(id x phiL) = phiL(psi x id)"),
+    ("equ6", "psi(psi x id) = psi(id x psi)"),
+    ("equu1", "(tau x id)(id x phiS)(tau x id)(phiR x id) = (phiR x id)(id x phiS)"),
+    ("equu2", "(id x phiS)(tau x id)(id x phiL)(tau x id)(phiL x id) = (phiL x id)(id x phiS)"),
+    ("equu3", "(id x phiS)(phiR x id)(id x phiR) = (phiR x id)(id x tau)(phiS x id)"),
+    ("equu4", "(id x phiS)(tau x id)(phiL x id) = (id x phiS)(tau x id)(id x tau)(id x phiR)"),
+    ("equu5", "(phiS x id)(id x phiL) = (tau x id)(id x phiL)(tau x id)(phiS x id)"),
+    ("equu6", "(phiS x id)(id x tau)(phiS x id) = (id x tau)(phiS x id)(id x phiS)"),
+)
+
+EQUATION_TEXT = {tag: text for tag, text, _ in POINTWISE_EQUATIONS} | dict(MAP_EQUATIONS) | {
     "rb": "P_a(u).P_b(v) = P_{a->b}(P_{a|>b}(u).v) + P_{a<-b}(u.P_{a<|b}(v)) + L[a,b] P_{a.b}(u.v)",
     "dend1": "(u <_a v) <_b w = u <_{a->b} (v >_{a|>b} w) + u <_{a<-b} (v <_{a<|b} w)",
     "dend2": "(u >_a v) <_b w = u >_a (v <_b w)",
@@ -370,13 +381,17 @@ LEVELS = {
              "eq23", "eq24", "EQ29", "eq25", "eq26", "EQ32", "EQ33", "eq27")),
 }
 
-# pointwise tags bundled by each map identity (verdict-equivalent groups)
-MAP_TO_POINTWISE_TAGS = {
+# pointwise tags bundled by each map identity (verdict-equivalent groups);
+# the keys of each map level's dict are its identities in report order
+_EDS_MAP_TAGS = {
     "eds1": ("dia3", "EQ1", "EQ2"),
     "eds2": ("dia1", "EQ3", "EQ4"),
     "eds3": ("dia2", "EQ5", "EQ6"),
     "eds4": ("dia4", "EQ7", "EQ8"),
     "eds5": ("dia5", "EQ9", "EQ10"),
+}
+
+MAP_TO_POINTWISE_TAGS = _EDS_MAP_TAGS | {
     "equ1": ("EQ11", "eq17", "eq18"),
     "equ2": ("EQ12", "eq19", "eq20"),
     "equ3": ("EQ14", "eq21", "eq22"),
@@ -385,12 +400,7 @@ MAP_TO_POINTWISE_TAGS = {
     "equ6": ("EQ16", "eq27"),
 }
 
-ETS_MAP_TO_POINTWISE_TAGS = {
-    "eds1": ("dia3", "EQ1", "EQ2"),
-    "eds2": ("dia1", "EQ3", "EQ4"),
-    "eds3": ("dia2", "EQ5", "EQ6"),
-    "eds4": ("dia4", "EQ7", "EQ8"),
-    "eds5": ("dia5", "EQ9", "EQ10"),
+ETS_MAP_TO_POINTWISE_TAGS = _EDS_MAP_TAGS | {
     "equu1": ("EQ17", "eq18", "eq17"),
     "equu2": ("EQ20", "eq19", "eq20"),
     "equu3": ("EQ23", "eq21", "eq22"),
@@ -447,6 +457,25 @@ def parse_equation(text: str):
     if _is_weight(lhs) != _is_weight(rhs):
         raise ValueError(f"{text!r}: a weight equated with a carrier term")
     return lhs, rhs
+
+
+_MAP_KINDS = {"phiL": "phi_l", "phiR": "phi_r", "phiS": "phi_s", "psi": "psi", "tau": "tau"}
+_MAP_STEP = r"\((\w+) x (\w+)\)|(\w+)"
+
+
+def parse_map_equation(text: str):
+    """The (lhs, rhs) pipelines of a map identity, each side read right to
+    left into steps (kind, pos): (X x id) and a bare X are (X, 0), (id x X)
+    is (X, 1)."""
+    sides = text.split(" = ")
+    if len(sides) != 2 or not all(re.fullmatch(rf"({_MAP_STEP})(\.?({_MAP_STEP}))*", side)
+                                  for side in sides):
+        raise ValueError(f"{text!r}: expected two composites of maps joined by ' = '")
+    steps = [[(bare or x, 0) if bare or y == "id" else (y, 1) if x == "id" else (None, 1)
+              for x, y, bare in reversed(re.findall(_MAP_STEP, side))] for side in sides]
+    if not all(name in _MAP_KINDS for side in steps for name, _ in side):
+        raise ValueError(f"{text!r}: a map is (X x id), (id x X) or X, X in {', '.join(_MAP_KINDS)}")
+    return tuple(tuple((_MAP_KINDS[name], pos) for name, pos in side) for side in steps)
 
 
 @lru_cache(maxsize=None)
@@ -573,58 +602,26 @@ def check_ets(s: OmegaStructure) -> AxiomReport:
 # ---------------------------------------------------------------------------
 # Map-level checkers (tensor formulation)
 
-# A pipeline step is (kind, pos): kind is "phi_l", "phi_r", "phi_s", "tau" or
-# "psi", acting on the tensor factors pos and pos + 1; pipelines list steps in
-# application order (innermost map first).  A basis tuple is a flat index in
-# base n, first factor most significant, so index order is lexicographic.  A
-# set map (phi_*, tau) is a tuple of indices.  Each side composes its set-map
-# prefix for all n**3 triples at once by gathers in C, into a table built once
-# per structure: the canonical coefficient dicts that the rest of the side,
-# from its first psi on, gives over the small arity-2/arity-1 spaces.  Both
-# sides are compared as whole tuples; triples are walked only where they differ.
+# Each pipeline is compiled from a text of MAP_EQUATIONS, read right to left
+# as maps compose.  A step is (kind, pos): kind is "phi_l", "phi_r", "phi_s"
+# (phiL, phiR, phiS: (x, y) -> (x<-y, x<|y), (x->y, x|>y), (x.y, x*y)), "tau"
+# or "psi", acting on the tensor factors pos and pos + 1, where (X x id) and a
+# bare X give pos 0 and (id x X) pos 1; "." is composition.  Pipelines list
+# steps in application order (innermost map first).  A basis tuple is a flat
+# index in base n, first factor most significant, so index order is
+# lexicographic.  A set map (phi_*, tau) is a tuple of indices.  Each side
+# composes its set-map prefix for all n**3 triples at once by gathers in C,
+# into a table built once per structure: the canonical coefficient dicts that
+# the rest of the side, from its first psi on, gives over the small
+# arity-2/arity-1 spaces.  Both sides are compared as whole tuples; triples
+# are walked only where they differ.
 
-_MAPS_EDS_PIPELINES = (
-    ("eds1", (("phi_r", 0), ("tau", 0), ("phi_l", 1), ("tau", 0)),
-             (("phi_l", 1), ("phi_r", 0))),
-    ("eds2", (("phi_l", 0), ("tau", 0), ("phi_l", 1), ("tau", 0), ("phi_l", 1)),
-             (("phi_l", 1), ("phi_l", 0))),
-    ("eds3", (("phi_l", 0), ("tau", 0), ("phi_l", 1), ("tau", 0), ("phi_r", 1)),
-             (("phi_r", 1), ("phi_l", 0))),
-    ("eds4", (("phi_r", 1), ("phi_r", 0), ("phi_l", 1)),
-             (("phi_l", 0), ("tau", 1), ("phi_r", 0))),
-    ("eds5", (("phi_r", 1), ("phi_r", 0), ("phi_r", 1)),
-             (("phi_r", 0), ("tau", 1), ("phi_r", 0))),
-)
 
-_MAPS_PSI_PIPELINES = (
-    ("equ1", (("psi", 1), ("phi_r", 0)),
-             (("phi_r", 0), ("tau", 1), ("psi", 0))),
-    ("equ2", (("phi_l", 0), ("tau", 0), ("phi_l", 1), ("tau", 1), ("psi", 0)),
-             (("psi", 1), ("phi_l", 0), ("tau", 0))),
-    ("equ3", (("phi_r", 1), ("phi_r", 0), ("psi", 1)),
-             (("psi", 0), ("phi_r", 0))),
-    ("equ4", (("phi_l", 0), ("tau", 1), ("psi", 0)),
-             (("phi_r", 1), ("psi", 0))),
-    ("equ5", (("phi_l", 1), ("psi", 0)),
-             (("psi", 0), ("phi_l", 0))),
-    ("equ6", (("psi", 0), ("psi", 0)),
-             (("psi", 1), ("psi", 0))),
-)
-
-_MAPS_STAR_PIPELINES = (
-    ("equu1", (("phi_r", 0), ("tau", 0), ("phi_s", 1), ("tau", 0)),
-              (("phi_s", 1), ("phi_r", 0))),
-    ("equu2", (("phi_l", 0), ("tau", 0), ("phi_l", 1), ("tau", 0), ("phi_s", 1)),
-              (("phi_s", 1), ("phi_l", 0))),
-    ("equu3", (("phi_r", 1), ("phi_r", 0), ("phi_s", 1)),
-              (("phi_s", 0), ("tau", 1), ("phi_r", 0))),
-    ("equu4", (("phi_l", 0), ("tau", 0), ("phi_s", 1)),
-              (("phi_r", 1), ("tau", 1), ("tau", 0), ("phi_s", 1))),
-    ("equu5", (("phi_l", 1), ("phi_s", 0)),
-              (("phi_s", 0), ("tau", 0), ("phi_l", 1), ("tau", 0))),
-    ("equu6", (("phi_s", 0), ("tau", 1), ("phi_s", 0)),
-              (("phi_s", 1), ("phi_s", 0), ("tau", 1))),
-)
+@lru_cache(maxsize=None)
+def _map_pipelines(level: str) -> tuple:
+    """(tag, lhs, rhs) per identity of the map level, in report order."""
+    tags = MAP_TO_POINTWISE_TAGS if level == "maps" else ETS_MAP_TO_POINTWISE_TAGS
+    return tuple((tag, *parse_map_equation(EQUATION_TEXT[tag])) for tag in tags)
 
 
 def _gather(table, idx) -> tuple:
@@ -703,9 +700,10 @@ def _side_images(s: OmegaStructure):
     return images
 
 
-def _check_pipelines(s: OmegaStructure, pipelines, level: str) -> AxiomReport:
+def _check_pipelines(s: OmegaStructure, level: str) -> AxiomReport:
     col = _Collector()
     images = _side_images(s)
+    pipelines = _map_pipelines(level)
     for tag, lhs, rhs in pipelines:
         left, right = images(lhs), images(rhs)
         if left != right:
@@ -718,14 +716,14 @@ def check_maps_level(s: OmegaStructure) -> AxiomReport:
     """Tensor-map formulation of the lambda level; accepts generalized psi."""
     if not s.has_weight:
         raise StructureError("map-level check requires weight data (lambda, psi, or weight-0)")
-    return _check_pipelines(s, _MAPS_EDS_PIPELINES + _MAPS_PSI_PIPELINES, "maps")
+    return _check_pipelines(s, "maps")
 
 
 def check_ets_maps_level(s: OmegaStructure) -> AxiomReport:
     """Tensor-map formulation of the ETS level (set maps, phi_* = (., *))."""
     if s.dot is None or s.star is None:
         raise StructureError("ETS map-level check requires dot and star tables")
-    return _check_pipelines(s, _MAPS_EDS_PIPELINES + _MAPS_STAR_PIPELINES, "ets-maps")
+    return _check_pipelines(s, "ets-maps")
 
 
 def check(s: OmegaStructure, level: str) -> AxiomReport:
@@ -1098,35 +1096,23 @@ def parse_structure(text: str) -> OmegaStructure:
     )
 
 
-def _fmt_table(table: OpTable) -> str:
-    return "[" + ",".join("[" + ",".join(map(str, row)) + "]" for row in table.rows) + "]"
+def _fmt_rows(rows, cell=str) -> str:
+    return "[" + ",".join("[" + ",".join(map(cell, row)) + "]" for row in rows) + "]"
 
 
 def serialize_structure(s: OmegaStructure) -> str:
     lines = [f"size = {s.size}", "labels = " + " ".join(s.labels)]
     for key in ("left", "right", "lhd", "rhd"):
-        lines.append(f"{key:<5} = " + _fmt_table(getattr(s, key)))
+        lines.append(f"{key:<5} = " + _fmt_rows(getattr(s, key).rows))
     if s.dot is not None:
-        lines.append("dot   = " + _fmt_table(s.dot))
+        lines.append("dot   = " + _fmt_rows(s.dot.rows))
     if s.star is not None:
-        lines.append("star  = " + _fmt_table(s.star))
+        lines.append("star  = " + _fmt_rows(s.star.rows))
     if s.lam is not None:
-        lines.append(
-            "lambda = ["
-            + ",".join("[" + ",".join(str(v) for v in row) + "]" for row in s.lam)
-            + "]"
-        )
+        lines.append("lambda = " + _fmt_rows(s.lam))
     if s.psi is not None:
-        cells = []
-        for row in s.psi:
-            cells.append(
-                "["
-                + ",".join(
-                    "{" + ",".join(f"{b}:{c}" for b, c in cell) + "}" for cell in row
-                )
-                + "]"
-            )
-        lines.append("psi   = [" + ",".join(cells) + "]")
+        lines.append("psi   = " + _fmt_rows(
+            s.psi, lambda cell: "{" + ",".join(f"{b}:{c}" for b, c in cell) + "}"))
     if s.weight_zero:
         lines.append("weight_zero = true")
     return "\n".join(lines) + "\n"

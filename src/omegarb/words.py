@@ -358,8 +358,9 @@ def parse_algebra(text: str) -> FiniteAlgebra:
     from .omega import _as_flag, _as_matrix, _as_sum_cell, _parse_value  # shared literal parser
 
     fields = {}
-    for chunk in text.replace(";", "\n").splitlines():
-        line = chunk.split("#", 1)[0].strip()
+    chunks = (c for raw in text.splitlines() for c in raw.split("#", 1)[0].split(";"))
+    for chunk in chunks:
+        line = chunk.strip()
         if not line:
             continue
         if "=" not in line:

@@ -562,13 +562,23 @@ def test_integral_weight_word_output_matches_the_pinned_fixture(fmt, ext, tmp_pa
     assert out.read_bytes() == (pinned / f"words.{ext}").read_bytes()
 
 
-@pytest.mark.parametrize("level", ["diassoc", "eds", "lambda-ets", "ets"])
+@pytest.mark.parametrize("level", ["diassoc", "eds", "lambda-ets", "ets", "maps", "ets-maps"])
 @pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
 def test_failing_reports_match_the_pinned_fixture(level, fmt, ext, tmp_path):
-    # three elements that fail every tag of lambda-ets, star tags at ets too:
-    # pins the tags, first witnesses, counts and order of every layer
+    # three elements that fail every tag of lambda-ets, star tags at ets too,
+    # and every map identity at both map levels: pins the tags, first
+    # witnesses, counts and order of every layer
     out = tmp_path / "out.txt"
     argv = ["check", str(ROOT / "sample_inputs" / "all_layers_fail.txt"), "--level", level,
             "--format", fmt, "--out", str(out)]
     assert main(argv) == 1
     assert out.read_bytes() == (ROOT / "fixtures" / "all_layers_fail" / f"{level}.{ext}").read_bytes()
+
+
+def test_repeated_carrier_labels_are_a_usage_error(tmp_path, capsys):
+    # two types both called a: no output could tell them apart
+    path = tmp_path / "repeated.txt"
+    path.write_text(STRUCTURE_TEXT.replace("labels = a b", "labels = a a"))
+    assert main(["product", "--omega", str(path), "--expr", "([a](|)) * ([a](|))"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: labels 'a a' repeat a label\n"

@@ -265,8 +265,8 @@ def reference_report(s, pipelines):
     return out
 
 
-MAPS_PIPELINES = om._MAPS_EDS_PIPELINES + om._MAPS_PSI_PIPELINES
-ETS_MAPS_PIPELINES = om._MAPS_EDS_PIPELINES + om._MAPS_STAR_PIPELINES
+MAPS_PIPELINES = om._map_pipelines("maps")
+ETS_MAPS_PIPELINES = om._map_pipelines("ets-maps")
 ALL_TABLES = [OpTable(((a, b), (c, d))) for a in (0, 1) for b in (0, 1) for c in (0, 1)
               for d in (0, 1)]
 SAMPLE_SCALARS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2, 3))
@@ -335,7 +335,7 @@ def test_maps_engine_cancels_to_zero_exactly():
     half = FormalSum({0: Fraction(1, 2), 1: Fraction(-1, 2)})
     psi = ((half, half), (half, half))
     s = struct("aabb", "abab", "abab", "aabb", psi=psi)
-    _, lhs, rhs = om._MAPS_PSI_PIPELINES[-1]
+    _, lhs, rhs = MAPS_PIPELINES[-1]
     images = om._side_images(s)
     for side in (lhs, rhs):
         assert images(side) == ({},) * 8
@@ -452,6 +452,77 @@ def test_ets_maps_engine_matches_reference_at_sizes_one_and_three(n):
     for s in cases:
         assert_same_report(check_ets_maps_level(s), "ets-maps",
                            reference_report(s, ETS_MAPS_PIPELINES))
+
+
+# The 17 map identities as hand-written step tuples, kept apart from their
+# texts in omega.MAP_EQUATIONS: a frozen oracle for the parsed pipelines.
+EDS_STEPS = (
+    ("eds1", (("phi_r", 0), ("tau", 0), ("phi_l", 1), ("tau", 0)),
+             (("phi_l", 1), ("phi_r", 0))),
+    ("eds2", (("phi_l", 0), ("tau", 0), ("phi_l", 1), ("tau", 0), ("phi_l", 1)),
+             (("phi_l", 1), ("phi_l", 0))),
+    ("eds3", (("phi_l", 0), ("tau", 0), ("phi_l", 1), ("tau", 0), ("phi_r", 1)),
+             (("phi_r", 1), ("phi_l", 0))),
+    ("eds4", (("phi_r", 1), ("phi_r", 0), ("phi_l", 1)),
+             (("phi_l", 0), ("tau", 1), ("phi_r", 0))),
+    ("eds5", (("phi_r", 1), ("phi_r", 0), ("phi_r", 1)),
+             (("phi_r", 0), ("tau", 1), ("phi_r", 0))),
+)
+PSI_STEPS = (
+    ("equ1", (("psi", 1), ("phi_r", 0)),
+             (("phi_r", 0), ("tau", 1), ("psi", 0))),
+    ("equ2", (("phi_l", 0), ("tau", 0), ("phi_l", 1), ("tau", 1), ("psi", 0)),
+             (("psi", 1), ("phi_l", 0), ("tau", 0))),
+    ("equ3", (("phi_r", 1), ("phi_r", 0), ("psi", 1)),
+             (("psi", 0), ("phi_r", 0))),
+    ("equ4", (("phi_l", 0), ("tau", 1), ("psi", 0)),
+             (("phi_r", 1), ("psi", 0))),
+    ("equ5", (("phi_l", 1), ("psi", 0)),
+             (("psi", 0), ("phi_l", 0))),
+    ("equ6", (("psi", 0), ("psi", 0)),
+             (("psi", 1), ("psi", 0))),
+)
+STAR_STEPS = (
+    ("equu1", (("phi_r", 0), ("tau", 0), ("phi_s", 1), ("tau", 0)),
+              (("phi_s", 1), ("phi_r", 0))),
+    ("equu2", (("phi_l", 0), ("tau", 0), ("phi_l", 1), ("tau", 0), ("phi_s", 1)),
+              (("phi_s", 1), ("phi_l", 0))),
+    ("equu3", (("phi_r", 1), ("phi_r", 0), ("phi_s", 1)),
+              (("phi_s", 0), ("tau", 1), ("phi_r", 0))),
+    ("equu4", (("phi_l", 0), ("tau", 0), ("phi_s", 1)),
+              (("phi_r", 1), ("tau", 1), ("tau", 0), ("phi_s", 1))),
+    ("equu5", (("phi_l", 1), ("phi_s", 0)),
+              (("phi_s", 0), ("tau", 0), ("phi_l", 1), ("tau", 0))),
+    ("equu6", (("phi_s", 0), ("tau", 1), ("phi_s", 0)),
+              (("phi_s", 1), ("phi_s", 0), ("tau", 1))),
+)
+
+
+def test_map_pipelines_parsed_from_the_texts_match_the_frozen_steps():
+    assert MAPS_PIPELINES == EDS_STEPS + PSI_STEPS
+    assert ETS_MAPS_PIPELINES == EDS_STEPS + STAR_STEPS
+    assert [tag for tag, _ in om.MAP_EQUATIONS] == [p[0] for p in EDS_STEPS + PSI_STEPS + STAR_STEPS]
+    # the reports print the very texts the pipelines were parsed from
+    for tag, text in om.MAP_EQUATIONS:
+        assert om.EQUATION_TEXT[tag] == text
+    assert list(om.MAP_TO_POINTWISE_TAGS) == [p[0] for p in MAPS_PIPELINES]
+    assert list(om.ETS_MAP_TO_POINTWISE_TAGS) == [p[0] for p in ETS_MAPS_PIPELINES]
+
+
+@pytest.mark.parametrize("text", [
+    "phiX(id x psi) = psi(psi x id)",  # an unknown map name
+    "(id x id)(phiL x id) = (phiL x id)",  # no map in the pair
+    "(phiL x phiR) = (phiL x id)",  # two maps in the pair
+    "psi(psi x id) psi(id x psi)",  # no '='
+    "psi = psi = psi",
+    "(tau x id)..(tau x id) = (tau x id)",
+    "psi( x id) = psi",
+    " = psi",
+])
+def test_malformed_map_texts_are_refused_by_name(text):
+    with pytest.raises(ValueError) as exc:
+        om.parse_map_equation(text)
+    assert repr(text) in str(exc.value)
 
 
 # -- pointwise checkers: the equation table and the hand-written oracle --------
@@ -694,6 +765,17 @@ def test_structure_file_round_trip():
     ]
     for s in samples:
         assert parse_structure(serialize_structure(s)) == s
+
+
+def test_repeated_labels_are_refused():
+    # a repeated label would print two types the same way
+    with pytest.raises(StructureError, match="labels 'a a' repeat a label"):
+        replace(example_matching([1, 2]), labels=("a", "a"))
+    with pytest.raises(StructureError, match="labels 'a b b' repeat a label"):
+        example_matching([1, 2, 3], labels=("a", "b", "b"))
+    with pytest.raises(StructureError, match="repeat a label"):
+        parse_structure(TABLES_TEXT + "labels = x x\n")
+    assert example_matching([1, 2], labels=("a", "b")).labels == ("a", "b")
 
 
 def test_structure_file_errors():

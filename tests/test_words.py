@@ -5,6 +5,7 @@ import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -304,6 +305,15 @@ def test_parse_algebra_inline_format():
     a = parse_algebra("basis = [1, x]; unit = 1; commutative = true; "
                       "mult = [[{0:1},{1:1}],[{1:1},{}]]")
     assert a == truncated_poly()
+
+
+def test_parse_algebra_keeps_a_semicolon_inside_a_comment():
+    # the comment is stripped before the text is split on ';'
+    text = (Path(__file__).resolve().parent.parent / "sample_inputs" / "truncated_poly.txt").read_text()
+    for comment in ("# note; more", '# x^2 = (3/2) x and no unit; "words --unitize" adjoins one'):
+        assert parse_algebra(comment + "\n" + text) == truncated_poly()
+    assert parse_algebra("basis = [1, x]; unit = 1  # a; b\ncommutative = true; "
+                         "mult = [[{0:1},{1:1}],[{1:1},{}]]") == truncated_poly()
 
 
 def test_word_expressions_round_trip():

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -156,6 +155,7 @@ def enumerate_level(level: str, n: int = 2, workers: int | None = None) -> Enume
     tabs = all_op_rows(n)
     prefixes = [(L, R) for L in tabs for R in tabs]
     if workers > 1:
+        import multiprocessing  # only here: the import costs every CLI run about 10 ms
         chunks = [prefixes[i::workers] for i in range(workers)]
         with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_scan_prefixes, [(level, n, ch) for ch in chunks])

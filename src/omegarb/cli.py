@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 
 from . import classify, rba
-from .omega import StructureError, check, parse_structure
+from .omega import StructureError, check, parse_structure, read_fields
 from .scalars import parse_scalar
 from .trees import ExprError, TreeAlgebra, parse_tree_expr, sum_to_str, tree_to_str
 from .words import (
@@ -162,15 +162,10 @@ def cmd_evaluate(args) -> int:
     structure = parse_structure(_read(args.omega))
     algebra = TreeAlgebra(structure)
     value = parse_tree_expr(args.expr, structure.labels, algebra)
-    subst = {}
-    for lineno, raw in enumerate(_read(args.subst).splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise StructureError(f"substitution line {lineno}: expected 'label = tree expression'")
-        label, expr = (part.strip() for part in line.split("=", 1))
-        subst[label] = parse_tree_expr(expr, structure.labels, algebra)
+    subst = {
+        label: parse_tree_expr(expr, structure.labels, algebra)
+        for _, label, expr in read_fields(_read(args.subst))
+    }
     image = algebra.evaluate(value, subst, algebra)
     labels = structure.labels
     return _emit_sum(image, lambda t: tree_to_str(t, labels), lambda s: sum_to_str(s, labels), args)

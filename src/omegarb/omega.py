@@ -22,6 +22,10 @@ of weights.  :data:`MAP_EQUATIONS` has one row (tag, text) per map identity,
 each side read right to left, ``(X x id)`` and ``(id x X)`` setting the pair
 of tensor factors that X acts on.  Adding an identity means adding one row
 (and its tag to the level that checks it).
+
+The structure, algebra and substitution file formats share one record reader,
+:func:`read_fields`, and one compiled-regex literal reader for scalars (an
+``int``, or a ``Fraction`` for a non-integral ``p/q``), lists and sums.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ __all__ = [
     "example_abelian_group",
     "parse_structure",
     "serialize_structure",
+    "read_fields",
     "EQUATION_TEXT",
     "POINTWISE_EQUATIONS",
     "LEVELS",
@@ -913,75 +918,88 @@ def build_example(kind: str, **params) -> OmegaStructure:
 
 
 # ---------------------------------------------------------------------------
-# Structure file format
+# File formats: one record reader and one literal reader
 
 
-def _tokenize_value(text: str):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "[]{}:,":
-            tokens.append(ch)
-            i += 1
-        else:
-            j = i
-            while j < len(text) and (text[j].isdigit() or text[j] in "-/"):
-                j += 1
-            if j == i:
-                raise StructureError(f"bad character {ch!r} in value {text!r}")
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+def read_fields(text: str, sep: str | None = None):
+    """Yield ``(lineno, key, value)`` per ``key = value`` record: each line loses
+    its ``#`` comment, then splits on ``sep``; a record without ``=`` and a
+    repeated key are refused, naming the line."""
+    seen = set()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0]
+        for record in line.split(sep) if sep else (line,):
+            if not record.strip():
+                continue
+            key, eq, value = record.partition("=")
+            if not eq:
+                raise StructureError(f"line {lineno}: expected 'key = value'")
+            key = key.strip()
+            if key in seen:
+                raise StructureError(f"line {lineno}: duplicate key {key!r}")
+            seen.add(key)
+            yield lineno, key, value.strip()
 
 
-def _parse_tokens(tokens, pos):
-    tok = _token_at(tokens, pos)
-    if tok == "[":
-        out = []
-        pos += 1
-        while _token_at(tokens, pos) != "]":
-            item, pos = _parse_tokens(tokens, pos)
-            out.append(item)
-            if _token_at(tokens, pos) == ",":
-                pos += 1
-        return out, pos + 1
-    if tok == "{":
-        out = {}
-        pos += 1
-        while _token_at(tokens, pos) != "}":
-            key, pos = _parse_tokens(tokens, pos)
-            if not isinstance(key, Fraction):
-                raise StructureError("formal-sum keys must be scalars")
-            if _token_at(tokens, pos) != ":":
-                raise StructureError("expected ':' in formal-sum literal")
-            val, pos = _parse_tokens(tokens, pos + 1)
-            if key in out:
-                raise StructureError(f"duplicate key {key} in formal-sum literal")
-            out[key] = val
-            if _token_at(tokens, pos) == ",":
-                pos += 1
-        return out, pos + 1
+# Tokens are brackets, braces, ':', ',' and runs of anything else but
+# whitespace; a run may hold only str.isdigit() characters, '-' and '/'.
+_LITERAL_TOKEN = re.compile(r"[\[\]{}:,]|[^\[\]{}:,\s]+")
+_ODD_CHARACTER = re.compile(r"[^\[\]{}:,\s\d/-]")
+
+
+def _scalar(token: str):
+    """An int for an integer literal; a Fraction only for a non-integral ``p/q``."""
     try:
-        return parse_scalar(tok), pos + 1
+        return int(token)
+    except ValueError:
+        pass
+    try:
+        value = parse_scalar(token)
     except ValueError as exc:
         raise StructureError(str(exc)) from None
-
-
-def _token_at(tokens, pos):
-    if pos >= len(tokens):
-        raise StructureError("value ends inside an unclosed '[' or '{'")
-    return tokens[pos]
+    return value.numerator if value.denominator == 1 else value
 
 
 def _parse_value(text: str):
-    tokens = _tokenize_value(text)
+    """A scalar, ``[...]`` list or ``{scalar: value}`` sum; commas are optional."""
+    for odd in _ODD_CHARACTER.finditer(text):
+        if not odd.group().isdigit():
+            raise StructureError(f"bad character {odd.group()!r} in value {text!r}")
+    tokens = _LITERAL_TOKEN.findall(text)
     if not tokens:
         raise StructureError("empty value")
-    value, pos = _parse_tokens(tokens, 0)
-    if pos != len(tokens):
+    tokens.reverse()
+
+    def take():
+        if not tokens:
+            raise StructureError("value ends inside an unclosed '[' or '{'")
+        return tokens.pop()
+
+    def read(tok):
+        if tok != "[" and tok != "{":
+            return _scalar(tok)
+        out, close = ([], "]") if tok == "[" else ({}, "}")
+        tok = take()
+        while tok != close:
+            if close == "]":
+                out.append(read(tok))
+            else:
+                key = read(tok)
+                if isinstance(key, (list, dict)):
+                    raise StructureError("formal-sum keys must be scalars")
+                if take() != ":":
+                    raise StructureError("expected ':' in formal-sum literal")
+                value = read(take())
+                if key in out:
+                    raise StructureError(f"duplicate key {key} in formal-sum literal")
+                out[key] = value
+            tok = take()
+            if tok == ",":
+                tok = take()
+        return out
+
+    value = read(tokens.pop())
+    if tokens:
         raise StructureError(f"trailing tokens in value {text!r}")
     return value
 
@@ -994,21 +1012,17 @@ def _as_matrix(value, what, cell):
 
 
 def _describe(value) -> str:
-    if isinstance(value, list):
-        return "a list"
-    if isinstance(value, dict):
-        return "a formal sum"
-    return str(value)
+    return {list: "a list", dict: "a formal sum"}.get(type(value)) or str(value)
 
 
 def _as_integer(value, what) -> int:
-    if not isinstance(value, Fraction) or value.denominator != 1:
+    if type(value) is not int:
         raise StructureError(f"{what} must be an integer, got {_describe(value)}")
-    return value.numerator
+    return value
 
 
-def _as_scalar(value, what) -> Fraction:
-    if not isinstance(value, Fraction):
+def _as_scalar(value, what):
+    if isinstance(value, (list, dict)):
         raise StructureError(f"{what} must be a scalar, got {_describe(value)}")
     return value
 
@@ -1042,17 +1056,7 @@ def _as_sum_cell(cell, what):
 
 def parse_structure(text: str) -> OmegaStructure:
     """Parse the plain-text structure format (``key = value`` lines)."""
-    fields: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise StructureError(f"line {lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in fields:
-            raise StructureError(f"line {lineno}: duplicate key {key!r}")
-        fields[key] = (lineno, value)
+    fields = {key: (lineno, value) for lineno, key, value in read_fields(text)}
     if "size" not in fields:
         raise StructureError("missing 'size'")
     size_text = fields.pop("size")[1]
@@ -1081,12 +1085,10 @@ def parse_structure(text: str) -> OmegaStructure:
     if "psi" in fields:
         raw = _parse_value(fields.pop("psi")[1])
         psi = tuple(map(tuple, _as_matrix(raw, "psi", lambda v: _as_sum_cell(v, "psi"))))
-    weight_zero = False
-    if "weight_zero" in fields:
-        lineno, text = fields.pop("weight_zero")
-        weight_zero = _as_flag(text, "weight_zero")
-        if weight_zero and psi is not None:
-            raise StructureError(f"line {lineno}: 'psi' and 'weight_zero = true' are exclusive")
+    lineno, flag = fields.pop("weight_zero", (None, "false"))
+    weight_zero = _as_flag(flag, "weight_zero")
+    if weight_zero and psi is not None:
+        raise StructureError(f"line {lineno}: 'psi' and 'weight_zero = true' are exclusive")
     if fields:
         key = next(iter(fields))
         raise StructureError(f"line {fields[key][0]}: unknown key {key!r}")
@@ -1100,6 +1102,10 @@ def _fmt_rows(rows, cell=str) -> str:
     return "[" + ",".join("[" + ",".join(map(cell, row)) + "]" for row in rows) + "]"
 
 
+def _fmt_sum(cell: FormalSum) -> str:
+    return "{" + ",".join(f"{b}:{c}" for b, c in cell) + "}"
+
+
 def serialize_structure(s: OmegaStructure) -> str:
     lines = [f"size = {s.size}", "labels = " + " ".join(s.labels)]
     for key in ("left", "right", "lhd", "rhd"):
@@ -1111,8 +1117,7 @@ def serialize_structure(s: OmegaStructure) -> str:
     if s.lam is not None:
         lines.append("lambda = " + _fmt_rows(s.lam))
     if s.psi is not None:
-        lines.append("psi   = " + _fmt_rows(
-            s.psi, lambda cell: "{" + ",".join(f"{b}:{c}" for b, c in cell) + "}"))
+        lines.append("psi   = " + _fmt_rows(s.psi, _fmt_sum))
     if s.weight_zero:
         lines.append("weight_zero = true")
     return "\n".join(lines) + "\n"

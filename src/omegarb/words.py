@@ -13,18 +13,21 @@ the basis, so word sums stay in canonical form.  :class:`WordAlgebra`
 implements the four-case inductive product, the prepend operators P_w, and
 the universal morphism; ``unitize`` adjoins a unit (new basis index 0) and
 ``sh_prime_filter`` recognizes the free-object subspace generated by a
-non-unital algebra inside its unitization.
+non-unital algebra inside its unitization.  Algebra files are read with the
+record and literal readers of :mod:`omegarb.omega`, records separated by
+newlines or ``;``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, count, repeat
 from math import lcm
 
 from .expr import ExprError, ExprParser
 from .free import FreeAlgebra
-from .omega import OmegaStructure, StructureError
+from .omega import OmegaStructure, StructureError, read_fields
+from .omega import _as_flag, _as_matrix, _as_sum_cell, _fmt_rows, _fmt_sum, _parse_value
 from .scalars import FormalSum, drop_zeros, format_sum
 
 __all__ = [
@@ -63,6 +66,9 @@ class FiniteAlgebra:
         self.mult = tuple(tuple(row) for row in mult)
         self.unit = unit
         self.commutative = bool(commutative)
+        if len(set(self.labels)) < self.dim:
+            labels = " ".join(map(str, self.labels))
+            raise StructureError(f"basis labels {labels!r} repeat a label")
         if len(self.mult) != self.dim or any(len(row) != self.dim for row in self.mult):
             raise StructureError("multiplication table has wrong shape")
         if any(not 0 <= b < self.dim for row in self.mult for cell in row for b in cell._terms):
@@ -167,11 +173,14 @@ def word_length(w: TypedWord) -> int:
 def unitize(algebra: FiniteAlgebra) -> FiniteAlgebra:
     """Adjoin a unit: new basis index 0, old basis shifted up by one.
 
-    The product rule is (c + a)(d + b) = cd + (cb + da + ab) for scalars
-    c, d and algebra elements a, b.
+    The new unit is labelled ``1``, or, when ``1`` is taken, by the first of
+    ``e``, ``e1``, ``e2``, ... that is free.  The product rule is
+    (c + a)(d + b) = cd + (cb + da + ab) for scalars c, d and algebra
+    elements a, b.
     """
     dim = algebra.dim
-    labels = ("1",) + tuple(algebra.labels)
+    names = chain(("1", "e"), map("e{}".format, count(1)))
+    labels = (next(x for x in names if x not in algebra.labels),) + algebra.labels
     mult = []
     for i in range(dim + 1):
         row = []
@@ -353,59 +362,41 @@ def word_evaluate(x: FormalSum | TypedWord, f, R, algebra: FiniteAlgebra):
 
 
 def parse_algebra(text: str) -> FiniteAlgebra:
-    """Parse the algebra format: ``basis``, ``unit``, ``commutative``,
-    ``mult`` entries (key = value, ';' or newline separated)."""
-    from .omega import _as_flag, _as_matrix, _as_sum_cell, _parse_value  # shared literal parser
-
-    fields = {}
-    chunks = (c for raw in text.splitlines() for c in raw.split("#", 1)[0].split(";"))
-    for chunk in chunks:
-        line = chunk.strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise StructureError(f"expected 'key = value', got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key in fields:
-            raise StructureError(f"duplicate key {key!r}")
-        fields[key] = value
+    """Parse the algebra format: ``basis``, ``unit``, ``commutative`` and
+    ``mult`` records, separated by newlines or ';' (see :func:`read_fields`)."""
+    fields = {key: (lineno, value) for lineno, key, value in read_fields(text, sep=";")}
     if "basis" not in fields or "mult" not in fields:
         raise StructureError("algebra file needs 'basis' and 'mult'")
-    basis_raw = fields.pop("basis").strip()
-    if basis_raw.startswith("["):
-        labels = [tok for tok in basis_raw.strip("[]").replace(",", " ").split() if tok]
-    else:
-        labels = basis_raw.split()
+    basis = fields.pop("basis")[1]
+    if basis.startswith("["):  # the bracket form may separate labels with commas
+        basis = basis.strip("[]").replace(",", " ")
+    labels = basis.split()
     unit = None
     if "unit" in fields:
-        raw = fields.pop("unit").strip()
-        if raw.lower() != "none":
-            if raw in labels:
-                unit = labels.index(raw)
-            elif raw.isdecimal():
-                unit = int(raw)
-            else:
-                raise StructureError(f"unit {raw!r} is neither a basis label nor an index")
-    commutative = False
-    if "commutative" in fields:
-        commutative = _as_flag(fields.pop("commutative"), "commutative")
-    raw_mult = _parse_value(fields.pop("mult"))
+        lineno, raw = fields.pop("unit")
+        if raw in labels:
+            unit = labels.index(raw)
+        elif raw.isdecimal():
+            unit = int(raw)
+        elif raw.lower() != "none":
+            raise StructureError(
+                f"line {lineno}: unit {raw!r} is neither a basis label nor an index"
+            )
+    commutative = _as_flag(fields.pop("commutative", (None, "false"))[1], "commutative")
+    raw_mult = _parse_value(fields.pop("mult")[1])
     if fields:
-        raise StructureError(f"unknown keys {sorted(fields)}")
+        key = next(iter(fields))
+        raise StructureError(f"line {fields[key][0]}: unknown key {key!r}")
     mult = _as_matrix(raw_mult, "mult", lambda v: _as_sum_cell(v, "mult"))
     return FiniteAlgebra(labels, mult, unit=unit, commutative=commutative)
 
 
 def serialize_algebra(a: FiniteAlgebra) -> str:
     lines = ["basis = [" + ", ".join(a.labels) + "]"]
-    lines.append(f"unit = {a.labels[a.unit] if a.unit is not None else 'none'}")
+    if a.unit is not None:
+        lines.append(f"unit = {a.labels[a.unit]}")
     lines.append(f"commutative = {'true' if a.commutative else 'false'}")
-    rows = []
-    for row in a.mult:
-        rows.append(
-            "[" + ",".join("{" + ",".join(f"{b}:{c}" for b, c in cell) + "}" for cell in row) + "]"
-        )
-    lines.append("mult = [" + ",".join(rows) + "]")
+    lines.append("mult = " + _fmt_rows(a.mult, _fmt_sum))
     return "\n".join(lines) + "\n"
 
 

@@ -3,10 +3,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import structure_oracle as oracle
 from omegarb.cli import main
-from omegarb.omega import StructureError, parse_structure, serialize_structure
+from omegarb.omega import StructureError, _parse_value, parse_structure, serialize_structure
 from omegarb.trees import MAX_TREE_DEPTH, ExprError, TreeAlgebra, depth, parse_tree_expr
 from omegarb.words import (
     MAX_WORD_LENGTH,
@@ -582,3 +583,130 @@ def test_repeated_carrier_labels_are_a_usage_error(tmp_path, capsys):
     assert main(["product", "--omega", str(path), "--expr", "([a](|)) * ([a](|))"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: labels 'a a' repeat a label\n"
+
+
+# -- one record reader and one literal reader for the three file formats ------
+
+SAMPLES = ROOT / "sample_inputs"
+ALGEBRA_FILES = ["half_line.txt", "truncated_poly.txt"]
+STRUCTURE_FILES = sorted(p.name for p in SAMPLES.glob("*.txt") if p.name not in ALGEBRA_FILES)
+Z2_FILE = str(SAMPLES / "family_z2.txt")
+MALFORMED = ROOT / "fixtures" / "malformed"
+MESSAGES = dict(
+    line.split(": ", 1) for line in (MALFORMED / "messages.txt").read_text().splitlines()
+)
+
+
+def _reading_argv(path):
+    """The command that reads a structure-, algebra- or subst-named file."""
+    return {
+        "structure": ["check", str(path), "--level", "maps"],
+        "algebra": ["words", "--omega", Z2_FILE, "--algebra", str(path), "--expr", "x [a] 1"],
+        "subst": ["evaluate", "--omega", Z2_FILE, "--expr", "(| x |)", "--subst", str(path)],
+    }[path.name.split("-", 1)[0]]
+
+
+def _file_mutants(text):
+    """The text with one bracket or brace deleted, one line (so its key)
+    repeated, or one ';' or '#' put in at any offset."""
+    for i, ch in enumerate(text):
+        if ch in "[]{}":
+            yield text[:i] + text[i + 1:]
+    lines = text.splitlines(keepends=True)
+    for i in range(len(lines)):
+        yield "".join(lines[:i + 1] + lines[i:])
+    for i in range(len(text) + 1):
+        for ch in ";#":
+            yield text[:i] + ch + text[i:]
+
+
+def _outcome(parse, text):
+    try:
+        return "value", parse(text)
+    except StructureError as exc:
+        return "refused", str(exc)
+
+
+def test_every_malformed_file_has_a_pinned_message():
+    assert sorted(p.name for p in MALFORMED.glob("*-*.txt")) == sorted(MESSAGES)
+
+
+@pytest.mark.parametrize("name", sorted(MESSAGES))
+def test_malformed_files_exit_2_with_the_pinned_message(name, capsys):
+    assert main(_reading_argv(MALFORMED / name)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == MESSAGES[name] + "\n"
+
+
+def test_a_repeated_substitution_label_is_a_usage_error(tmp_path, capsys):
+    subst = tmp_path / "subst.txt"
+    subst.write_text("x = (| y |)\nx = (| x |)\n")
+    assert main(["evaluate", "--omega", Z2_FILE, "--expr", "(| x |)", "--subst", str(subst)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: line 2: duplicate key 'x'\n"
+
+
+def test_unitize_keeps_the_old_unit_apart_from_the_new_one(capsys):
+    # truncated_poly.txt already has a unit labelled 1, so the new unit is e
+    argv = ["words", "--omega", Z2_FILE, "--algebra", str(SAMPLES / "truncated_poly.txt"),
+            "--unitize", "--expr"]
+    for expr in ("e [a] 1", "1 [a] e", "1 * e"):
+        assert main(argv + [expr]) == 0
+        assert capsys.readouterr().out == ("1" if expr == "1 * e" else expr) + "\n"
+
+
+# each sample file, and the substitution of the README example, by kind
+MUTATED = [("structure", SAMPLES / name) for name in STRUCTURE_FILES]
+MUTATED += [("algebra", SAMPLES / name) for name in ALGEBRA_FILES]
+MUTATED += [("subst", ROOT / "fixtures" / "trees_cli" / "subst.txt")]
+
+
+@pytest.mark.parametrize("kind, source", MUTATED, ids=[source.name for _, source in MUTATED])
+def test_mutated_files_parse_or_exit_2_with_one_line(kind, source, tmp_path, capsys):
+    # the library parses a mutant or refuses it with a StructureError; the
+    # command that reads it exits 0 (only a substitution is not parsed first)
+    # or 2 with one line on stderr
+    parse = {"structure": parse_structure, "algebra": parse_algebra}.get(kind)
+    path = tmp_path / f"{kind}-mutant.txt"
+    for text in _file_mutants(source.read_text()):
+        if parse is not None and _outcome(parse, text)[0] == "value":
+            continue
+        path.write_text(text)
+        code = main(_reading_argv(path))
+        out, err = capsys.readouterr()
+        if parse is None and code == 0:
+            continue
+        assert code == 2 and out == "", text
+        assert err.startswith("error: ") and err.count("\n") == 1, text
+
+
+@pytest.mark.parametrize("name", STRUCTURE_FILES)
+def test_mutated_structure_files_read_as_the_frozen_oracle_reads_them(name):
+    for text in _file_mutants((SAMPLES / name).read_text()):
+        assert _outcome(parse_structure, text) == _outcome(oracle.parse_structure, text), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_mutations(STRUCTURE_TEXT), _mutations(PSI_TEXT)))
+def test_fuzzed_structure_files_read_as_the_frozen_oracle_reads_them(text):
+    assert _outcome(parse_structure, text) == _outcome(oracle.parse_structure, text)
+
+
+def _scalars(value):
+    if isinstance(value, list):
+        return [x for item in value for x in _scalars(item)]
+    if isinstance(value, dict):
+        return [x for kv in value.items() for item in kv for x in _scalars(item)]
+    return [value]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text("0123456789-/[]{}:, \t²٣_+a", max_size=16))
+@example("[4/2 -0, {0/3: 6/4 1:٣}]")
+def test_literals_read_as_the_frozen_oracle_reads_them(text):
+    # '²' is str.isdigit() but not a decimal digit, '٣' is a decimal digit
+    got = _outcome(_parse_value, text)
+    assert got == _outcome(oracle._parse_value, text)
+    if got[0] == "value":
+        # exact form: an int for an integer, a Fraction only when not integral
+        assert all(type(x) is int or x.denominator != 1 for x in _scalars(got[1]))

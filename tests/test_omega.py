@@ -5,6 +5,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pointwise_oracle as oracle
 
@@ -28,6 +29,7 @@ from omegarb.omega import (
     is_commutative,
     opposite,
     parse_structure,
+    read_fields,
     serialize_structure,
     swap_conjugate,
 )
@@ -823,3 +825,61 @@ def test_weight_zero_flag_words(word, value):
 def test_weight_zero_flag_rejects_other_text(word):
     with pytest.raises(StructureError, match="weight_zero must be one of"):
         parse_structure(TABLES_TEXT + f"weight_zero = {word}\n")
+
+
+def test_read_fields_strips_the_comment_before_it_splits_records():
+    text = "a = 1  # c; d\n\n   # only a comment\nb = [1, 2]; c = x = y\n"
+    assert list(read_fields(text)) == [(1, "a", "1"), (4, "b", "[1, 2]; c = x = y")]
+    assert list(read_fields(text, sep=";")) == [
+        (1, "a", "1"), (4, "b", "[1, 2]"), (4, "c", "x = y"),
+    ]
+
+
+@pytest.mark.parametrize("text, sep, message", [
+    ("a = 1\nb\n", None, "line 2: expected 'key = value'"),
+    ("a = 1; b\n", ";", "line 1: expected 'key = value'"),
+    ("a = 1\n# a = 2\na = 3\n", None, "line 3: duplicate key 'a'"),
+    ("a = 1\nb = 2; a = 3\n", ";", "line 2: duplicate key 'a'"),
+])
+def test_read_fields_refuses_a_bad_record_by_line(text, sep, message):
+    with pytest.raises(StructureError) as exc:
+        list(read_fields(text, sep))
+    assert str(exc.value) == message
+
+
+# labels are words of the structure file: no whitespace and no '#'
+_LABELS = st.text(st.characters(blacklist_categories=("Z", "C"), blacklist_characters="#"),
+                  min_size=1, max_size=3)
+_SCALARS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def structures(draw):
+    n = draw(st.integers(1, 3))
+
+    def square(cells):
+        return draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=n, max_size=n))
+
+    def table():
+        return OpTable(square(st.integers(0, n - 1)))
+
+    weight = draw(st.sampled_from(["none", "lambda", "psi"]))
+    dot = table() if weight == "lambda" or draw(st.booleans()) else None
+    lam = psi = None
+    if weight == "lambda":
+        lam = tuple(map(tuple, square(_SCALARS)))
+    elif weight == "psi":
+        sums = st.dictionaries(st.integers(0, n - 1), _SCALARS, max_size=n).map(FormalSum)
+        psi = tuple(map(tuple, square(sums)))
+    return OmegaStructure(
+        size=n, labels=tuple(draw(st.lists(_LABELS, min_size=n, max_size=n, unique=True))),
+        left=table(), right=table(), lhd=table(), rhd=table(), dot=dot,
+        star=table() if draw(st.booleans()) else None, lam=lam, psi=psi,
+        weight_zero=weight != "psi" and draw(st.booleans()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(structures())
+def test_serialized_structures_read_back_equal(s):
+    assert parse_structure(serialize_structure(s)) == s

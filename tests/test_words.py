@@ -95,6 +95,24 @@ def test_unitize_nilpotent_line():
     assert ua == truncated_poly()
 
 
+def test_repeated_basis_labels_are_refused():
+    # two basis elements called x: no output could tell them apart
+    with pytest.raises(StructureError, match="basis labels 'x x' repeat a label"):
+        FiniteAlgebra(("x", "x"), ((fs(0), fs(1)), (fs(1), FormalSum.zero())), unit=0)
+
+
+def test_unitize_labels_the_new_unit_with_a_free_label():
+    zero = FormalSum.zero()
+
+    def null(*labels):
+        return FiniteAlgebra(labels, [[zero] * len(labels)] * len(labels))
+
+    assert unitize(nilpotent_line()).labels == ("1", "x")
+    assert unitize(truncated_poly()).labels == ("e", "1", "x")
+    assert unitize(null("1", "e")).labels == ("e1", "1", "e")
+    assert unitize(null("e1", "1", "e")).labels == ("e2", "e1", "1", "e")
+
+
 def test_unitize_preserves_associativity_and_unit_law():
     base = truncated_poly()  # already unital; a fresh unit is adjoined anyway
     ua = unitize(base)
@@ -339,6 +357,56 @@ def test_word_products_at_two_thirds_keep_integral_coefficients_int():
                 assert (type(v) is int) == (v.denominator == 1)
                 kinds.add(type(v))
     assert kinds == {int, Fraction}
+
+
+def test_a_basis_label_none_is_a_label():
+    # 'unit = none' means no unit unless a basis element is called none
+    mult = "mult = [[{0:1},{1:1}],[{1:1},{}]]"
+    assert parse_algebra(f"basis = [none, x]; unit = none; {mult}").unit == 0
+    assert parse_algebra(f"basis = [1, x]; unit = none; {mult}").unit is None
+
+
+# labels are words of the algebra file: no whitespace, ',', '[', ']', '#' or ';'
+_LABELS = st.sampled_from(["1", "e", "x", "0", "none", "None"]) | st.text(
+    st.characters(blacklist_categories=("Z", "C"), blacklist_characters=",[]#;"),
+    min_size=1, max_size=3,
+)
+_NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+# associative index maps on {0..n-1}: (rule, unit or None, commutative)
+_SEMIGROUPS = {
+    "cyclic": (lambda n, i, j: (i + j) % n, lambda n: 0, True),
+    "max": (lambda n, i, j: max(i, j), lambda n: 0, True),
+    "min": (lambda n, i, j: min(i, j), lambda n: n - 1, True),
+    "left-zero": (lambda n, i, j: i, lambda n: None, False),
+    "right-zero": (lambda n, i, j: j, lambda n: None, False),
+    "constant": (lambda n, i, j: 0, lambda n: None, True),
+}
+
+
+@st.composite
+def algebras(draw):
+    """Semigroup algebras in a rescaled basis f_i = a_i e_i, with a_unit = 1,
+    or the algebra with every product zero."""
+    n = draw(st.integers(1, 3))
+    labels = draw(st.lists(_LABELS, min_size=n, max_size=n, unique=True))
+    kind = draw(st.sampled_from(sorted(_SEMIGROUPS) + ["null"]))
+    if kind == "null":
+        return FiniteAlgebra(labels, [[FormalSum.zero()] * n] * n, commutative=draw(st.booleans()))
+    rule, unit_of, commutative = _SEMIGROUPS[kind]
+    unit = unit_of(n) if draw(st.booleans()) else None
+    a = draw(st.lists(_NONZERO, min_size=n, max_size=n))
+    if unit is not None:
+        a[unit] = 1
+    mult = [[fs(rule(n, i, j), a[i] * a[j] / a[rule(n, i, j)]) for j in range(n)]
+            for i in range(n)]
+    return FiniteAlgebra(labels, mult, unit=unit,
+                         commutative=(commutative or n == 1) and draw(st.booleans()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebras())
+def test_serialized_algebras_read_back_equal(a):
+    assert parse_algebra(serialize_algebra(a)) == a
 
 
 def test_parse_algebra_rejects_duplicate_mult_keys():

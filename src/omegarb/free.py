@@ -13,12 +13,13 @@ access has to return the same object, not a new bound method.
 Exact rationals come back only at the boundary.  ``diamond_basis`` returns
 the canonical FormalSum of a basis pair, cached per pair, and ``product``
 of sums (``scalars.graded_product``) brings each operand to one common
-denominator, adds ints, and divides once per output term.  Both keep the
-numerators they divided as the sum's lift (the memo's own dict, for
-``diamond_basis``), so a product used again as an operand, passed through
-``p_op``, or compared with another product of the same lift key, stays in
-ints.  When D = D_A = 1 the numerators are the coefficients, and
-``diamond_basis`` wraps the memo's dict without a copy, for trees.  A
+denominator and adds ints.  Both keep the numerators as the sum's lift (the
+memo's own dict, for ``diamond_basis``), and the sum divides them, once
+per term, only when its terms are first read.  So a product used again as
+an operand, passed through ``p_op``, or compared with another product of
+the same lift key, stays in ints and builds no terms.  When D = D_A = 1
+the numerators are the coefficients, and ``diamond_basis`` wraps the
+memo's dict without a copy, for trees.  A
 subclass whose kernel keys its numerators by plain values that compare
 like its basis elements (words: exact tuples, see :class:`WordAlgebra`)
 sets ``_wrap``, a staticmethod that maps those keys, in order, to basis
@@ -102,12 +103,13 @@ class FreeAlgebra:
             u = FormalSum.term(u)
         if not isinstance(v, FormalSum):
             v = FormalSum.term(v)
-        ut = u._terms
-        vt = v._terms
-        if len(ut) == 1 == len(vt):
+        # an unbuilt operand's size is its lift's
+        ut = u._built
+        vt = v._built
+        if len(u._lift[1] if ut is None else ut) == 1 == len(v._lift[1] if vt is None else vt):
             # one basis pair with coefficient 1: the memo's (immutable) sum
-            ((s, c1),) = ut.items()
-            ((t, c2),) = vt.items()
+            ((s, c1),) = (ut or u._terms).items()
+            ((t, c2),) = (vt or v._terms).items()
             if c1 * c2 == 1:
                 return self.diamond_basis(s, t)
         return graded_product(u, v, self._diamond, self._grade, self._d, self._d_alg, self._wrap)

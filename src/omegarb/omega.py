@@ -975,33 +975,49 @@ def _parse_value(text: str):
             raise StructureError("value ends inside an unclosed '[' or '{'")
         return tokens.pop()
 
-    def read(tok):
-        if tok != "[" and tok != "{":
-            return _scalar(tok)
-        out, close = ([], "]") if tok == "[" else ({}, "}")
-        tok = take()
-        while tok != close:
+    # one [container, close, dict key read so far or None] per open bracket,
+    # so nesting depth costs list entries, not Python frames
+    stack = []
+    tok = tokens.pop()
+    while True:
+        if tok == "[" or tok == "{":
+            frame = [[], "]", None] if tok == "[" else [{}, "}", None]
+            tok = take()
+            if tok != frame[1]:
+                stack.append(frame)
+                continue
+            value = frame[0]
+        else:
+            value = _scalar(tok)
+        # hand the value to the open containers until one needs another token
+        while stack:
+            frame = stack[-1]
+            out, close, key = frame
             if close == "]":
-                out.append(read(tok))
-            else:
-                key = read(tok)
-                if isinstance(key, (list, dict)):
+                out.append(value)
+            elif key is None:
+                if isinstance(value, (list, dict)):
                     raise StructureError("formal-sum keys must be scalars")
                 if take() != ":":
                     raise StructureError("expected ':' in formal-sum literal")
-                value = read(take())
+                frame[2] = value
+                tok = take()
+                break
+            else:
                 if key in out:
                     raise StructureError(f"duplicate key {key} in formal-sum literal")
                 out[key] = value
+                frame[2] = None
             tok = take()
             if tok == ",":
                 tok = take()
-        return out
-
-    value = read(tokens.pop())
-    if tokens:
-        raise StructureError(f"trailing tokens in value {text!r}")
-    return value
+            if tok != close:
+                break
+            value = stack.pop()[0]
+        else:
+            if tokens:
+                raise StructureError(f"trailing tokens in value {text!r}")
+            return value
 
 
 def _as_matrix(value, what, cell):
@@ -1106,7 +1122,20 @@ def _fmt_sum(cell: FormalSum) -> str:
     return "{" + ",".join(f"{b}:{c}" for b, c in cell) + "}"
 
 
+def _check_labels(labels) -> None:
+    """Refuse, naming it, a label that a file could not read back: the
+    readers split records, values and label lists on whitespace and on
+    these characters."""
+    for label in labels:
+        if label.split() != [label] or any(ch in label for ch in ",[]{}#;="):
+            raise StructureError(
+                f"label {label!r} cannot be written: a label needs at least one "
+                "character and none of whitespace , [ ] { } # ; ="
+            )
+
+
 def serialize_structure(s: OmegaStructure) -> str:
+    _check_labels(s.labels)
     lines = [f"size = {s.size}", "labels = " + " ".join(s.labels)]
     for key in ("left", "right", "lhd", "rhd"):
         lines.append(f"{key:<5} = " + _fmt_rows(getattr(s, key).rows))

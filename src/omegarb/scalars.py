@@ -30,6 +30,13 @@ key has the product's grade, D and D_A, and two sums with the same key
 compare their int numerator dicts, with no Fraction.
 :func:`graded_relabel` (grafting a tree, prefixing a word) carries a lift
 over.  Every other operation returns a sum without one.
+
+A lifted sum builds its coefficients only when they are read.
+:func:`graded_sum` stores the lift and the key map ``wrap``, nothing more;
+the first read of ``_terms`` divides once per term and keeps the dict.
+None of the three uses above reads it, so a product that is only compared
+with another of its lift key, or used again as an operand of the same
+algebra, never makes a Fraction.
 """
 
 from __future__ import annotations
@@ -98,20 +105,29 @@ class FormalSum:
 
     Instances are immutable; arithmetic returns new sums. Iteration yields
     (basis, coefficient) pairs in the canonical basis order.  ``_terms`` is
-    the canonical coefficient dict that every reader sees.  ``_lift`` is the
-    graded lift a product left on its output (see the module docstring), or
-    None; equality of two sums whose lifts have the same key compares their
+    the canonical coefficient dict that every reader sees; it is built from
+    the lift on first read, and kept in ``_built`` (None until then).
+    ``_lift`` is the graded lift a product left on its output (see the
+    module docstring), or None, and ``_wrap`` the key map of an unbuilt
+    lift; equality of two sums whose lifts have the same key compares their
     int numerators, and otherwise their terms.
     """
 
-    __slots__ = ("_terms", "_lift")
+    __slots__ = ("_built", "_lift", "_wrap")
 
     def __init__(self, terms: Mapping | Iterable | None = None):
-        self._terms = {}
+        self._built = {}
         self._lift = None
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
-            accumulate(self._terms, ((b, _exact(c)) for b, c in items if c))
+            accumulate(self._built, ((b, _exact(c)) for b, c in items if c))
+
+    @property
+    def _terms(self) -> dict:
+        terms = self._built
+        if terms is None:
+            terms = self._built = _coefficients(self._lift, self._wrap)
+        return terms
 
     @classmethod
     def zero(cls) -> "FormalSum":
@@ -128,8 +144,17 @@ class FormalSum:
         # internal: terms must already be canonical (no zeros, integral as
         # int), and a lift must give exactly these terms
         out = cls.__new__(cls)
-        out._terms = terms
+        out._built = terms
         out._lift = lift
+        return out
+
+    @classmethod
+    def _lazy(cls, lift: tuple, wrap: Callable | None) -> "FormalSum":
+        # internal: a lifted sum whose terms are built on first read
+        out = cls.__new__(cls)
+        out._built = None
+        out._lift = lift
+        out._wrap = wrap
         return out
 
     def items(self) -> list:
@@ -160,7 +185,8 @@ class FormalSum:
         if a is not None and b is not None and a[0] == b[0]:
             # one key, one meaning: equal numerators are equal coefficients
             return a[1] == b[1]
-        return self._terms == other._terms
+        # the slots first: only an unbuilt sum pays for the property
+        return (self._built or self._terms) == (other._built or other._terms)
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
@@ -256,21 +282,23 @@ def graded_product(x: FormalSum, y: FormalSum, kernel: Callable, grade: Callable
     ``g = grade(bx) + grade(by) - grade(basis)`` (``d_alg`` is 1 unless the
     kernel also scales by structure constants).  Each operand is brought to
     one common denominator and lifted to its top grade (see
-    :func:`_operand`), so the inner loop adds ints only, and each output
-    term takes one exact division.  The output carries its lift, unless
-    the numerators are its coefficients (d, d_alg and U all 1).  ``wrap``,
-    if given, maps the kernel's keys to the output's basis elements (see
+    :func:`_operand`), so the inner loop adds ints only.  An operand whose
+    terms are not built yet gives its size and numerators from its lift,
+    and builds them only when the lift's key does not match.  The output
+    carries its lift, and its terms are built when first read, unless the
+    numerators are its coefficients (d, d_alg and U all 1).  ``wrap``, if
+    given, maps the kernel's keys to the output's basis elements (see
     :func:`graded_sum`).
     """
-    xt, yt = x._terms, y._terms
-    if not xt or not yt:
+    xt, yt = x._built, y._built
+    if not (x._lift[1] if xt is None else xt) or not (y._lift[1] if yt is None else yt):
         return FormalSum._raw({})
     # the common integral case inline, the rest through _operand
-    if d == 1 and Fraction not in map(type, xt.values()):
+    if d == 1 and xt is not None and Fraction not in map(type, xt.values()):
         ux, tx, xs = 1, 0, xt.items()
     else:
         ux, tx, xs = _operand(x, grade, d, d_alg)
-    if d == 1 and Fraction not in map(type, yt.values()):
+    if d == 1 and yt is not None and Fraction not in map(type, yt.values()):
         uy, ty, ys = 1, 0, yt.items()
     else:
         uy, ty, ys = _operand(y, grade, d, d_alg)
@@ -297,17 +325,22 @@ def graded_product(x: FormalSum, y: FormalSum, kernel: Callable, grade: Callable
 def graded_sum(num: dict, top: int, grade: Callable, d: int = 1, d_alg: int = 1,
                base: int = 1, wrap: Callable | None = None) -> FormalSum:
     """The exact sum with coefficients ``num[b] / (base * d**(top - grade(b))
-    * d_alg**(grade(b) + 1))``, one exact division per term, carrying
-    ``num`` as its lift.  ``num`` holds nonzero ints; it is referenced, not
-    copied, and must not change afterwards.  With d > 1 no grade exceeds
-    top; with d = 1 top plays no part and the key records 0.  ``wrap``, if
-    given, maps the keys of ``num``, in order, to the basis elements the sum
-    holds: the kernel may key its numerators by plain values that compare
-    and hash like them, and the lift keeps those keys.  Callers whose
-    numerators are the coefficients (d, d_alg and base all 1) wrap them with
-    no lift instead."""
+    * d_alg**(grade(b) + 1))``, carrying ``num`` as its lift.  Nothing is
+    divided here: the terms are built on first read (:func:`_coefficients`).
+    ``num`` holds nonzero ints; it is referenced, not copied, and must not
+    change afterwards.  With d > 1 no grade exceeds top; with d = 1 top
+    plays no part and the key records 0.  ``wrap``, if given, maps the keys
+    of ``num``, in order, to the basis elements the sum holds: the kernel
+    may key its numerators by plain values that compare and hash like them,
+    and the lift keeps those keys.  Callers whose numerators are the
+    coefficients (d, d_alg and base all 1) wrap them with no lift instead."""
+    return FormalSum._lazy(((grade, d, d_alg, base, top if d != 1 else 0), num), wrap)
+
+
+def _coefficients(lift: tuple, wrap: Callable | None) -> dict:
+    """The canonical terms a lift stands for, one exact division per term."""
+    (grade, d, d_alg, base, top), num = lift
     if d == 1:
-        top = 0
         if d_alg == 1:
             values = [quotient(n, base) for n in num.values()]
         else:
@@ -319,8 +352,7 @@ def graded_sum(num: dict, top: int, grade: Callable, d: int = 1, d_alg: int = 1,
             Fraction(n, den) if n % (den := dens[top - grade(b)]) else n // den
             for b, n in num.items()
         ]
-    out = dict(zip(num if wrap is None else wrap(num), values))
-    return FormalSum._raw(out, ((grade, d, d_alg, base, top), num))
+    return dict(zip(num if wrap is None else wrap(num), values))
 
 
 def graded_relabel(s: FormalSum, fn: Callable) -> FormalSum:
@@ -328,18 +360,24 @@ def graded_relabel(s: FormalSum, fn: Callable) -> FormalSum:
     ``fn`` that adds exactly one to the grade: grafting a tree on a new root,
     prefixing a word.  No two terms meet, so the coefficients carry over
     unchanged, and so does a lift, with top one higher (when D > 1) and one
-    more factor D_A in each numerator."""
+    more factor D_A in each numerator.  A sum whose terms are not built has
+    only its lift relabelled: ``fn`` also takes the kernel's keys and
+    returns basis elements."""
     lift = s._lift
     if lift is None:
         return FormalSum._raw({fn(b): c for b, c in s._terms.items()})
     (grade, d, d_alg, base, top), num = lift
-    terms: dict = {}
+    key = (grade, d, d_alg, base, top + 1 if d != 1 else 0)
+    terms = s._built
+    if terms is None:
+        return FormalSum._lazy((key, {fn(b): n * d_alg for b, n in num.items()}), None)
+    out: dict = {}
     lifted: dict = {}
-    for b, c in s._terms.items():
+    for b, c in terms.items():
         image = fn(b)
-        terms[image] = c
+        out[image] = c
         lifted[image] = num[b] * d_alg
-    return FormalSum._raw(terms, ((grade, d, d_alg, base, top + 1 if d != 1 else 0), lifted))
+    return FormalSum._raw(out, (key, lifted))
 
 
 def drop_zeros(acc: dict) -> dict:
@@ -366,6 +404,7 @@ def _operand(s: FormalSum, grade: Callable, d: int, d_alg: int):
             return base * d_alg ** (most + 1), top, [
                 (b, n * d_alg ** (most - k)) for (b, n), k in zip(num.items(), grades)
             ]
+    # no lift, or one of another key: the terms, built if need be
     return _numerators(s._terms, grade, d)
 
 

@@ -27,7 +27,8 @@ from math import lcm
 from .expr import ExprError, ExprParser
 from .free import FreeAlgebra
 from .omega import OmegaStructure, StructureError, read_fields
-from .omega import _as_flag, _as_matrix, _as_sum_cell, _fmt_rows, _fmt_sum, _parse_value
+from .omega import _as_flag, _as_matrix, _as_sum_cell, _check_labels, _fmt_rows, _fmt_sum
+from .omega import _parse_value
 from .scalars import FormalSum, drop_zeros, format_sum
 
 __all__ = [
@@ -392,6 +393,7 @@ def parse_algebra(text: str) -> FiniteAlgebra:
 
 
 def serialize_algebra(a: FiniteAlgebra) -> str:
+    _check_labels(a.labels)
     lines = ["basis = [" + ", ".join(a.labels) + "]"]
     if a.unit is not None:
         lines.append(f"unit = {a.labels[a.unit]}")

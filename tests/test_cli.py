@@ -638,6 +638,24 @@ def test_malformed_files_exit_2_with_the_pinned_message(name, capsys):
     assert out == "" and err == MESSAGES[name] + "\n"
 
 
+@pytest.mark.parametrize("depth", [2_000, 100_000])
+def test_deeply_nested_values_exit_2_with_one_line(depth, tmp_path, capsys):
+    # the literal reader keeps its own stack, so depth costs no Python frames
+    nested = "[" * depth + "]" * depth
+    cases = [
+        ("structure-deep.txt", TABLES.replace("[[0,0],[0,1]]", nested, 1),
+         "error: left table entry must be a scalar, got a list\n"),
+        ("algebra-deep.txt", ALGEBRA.replace("[[{0:1},{1:1}],[{1:1},{}]]", nested),
+         "error: mult entry must be an integer, got a list\n"),
+    ]
+    for name, text, message in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(_reading_argv(path)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == message
+
+
 def test_a_repeated_substitution_label_is_a_usage_error(tmp_path, capsys):
     subst = tmp_path / "subst.txt"
     subst.write_text("x = (| y |)\nx = (| x |)\n")

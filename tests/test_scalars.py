@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
@@ -256,3 +258,71 @@ def test_graded_relabel_carries_the_lift_one_grade_up():
     plain = FormalSum({"a": Fraction(1, 2), "b": 3})
     up = graded_relabel(plain, lambda b: "z" + b)
     assert up._lift is None and up._terms == {"za": Fraction(1, 2), "zb": 3}
+
+
+# -- terms built only when read ---------------------------------------------------
+
+
+class Word(str):
+    """A basis element that compares and hashes like the plain str key."""
+
+
+def as_words(keys):
+    return map(Word, keys)
+
+
+@st.composite
+def lifts(draw):
+    """(num, top, d, d_alg, base) with every grade of num at most top."""
+    num = draw(st.dictionaries(st.text("ab", min_size=1, max_size=4),
+                               st.integers(-200, 200).filter(bool), max_size=6))
+    top = max(map(letters, num), default=0) + draw(st.integers(0, 2))
+    return num, top, draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+
+
+@given(lifts(), st.booleans())
+def test_built_terms_equal_the_eager_formula(lift, wrapped):
+    num, top, d, d_alg, base = lift
+    x = graded_sum(num, top, letters, d, d_alg, base, as_words if wrapped else None)
+    assert x._built is None
+    # built on this first read: the lift's Fractions, an int where integral
+    assert_lift_exact(x)
+    assert x._built is x._terms
+    assert all(type(b) is (Word if wrapped else str) for b in x._terms)
+
+
+def test_sums_compared_by_lift_build_no_terms():
+    x = graded_sum({"a": 9, "ab": 2}, 1, letters, d=3)
+    y = graded_sum({"a": 9, "ab": 2}, 1, letters, d=3)
+    z = graded_sum({"a": 9, "ab": 4}, 1, letters, d=3)
+    assert x == y and x != z
+    assert x._built is None and y._built is None and z._built is None
+    # another key: the terms are built and compared
+    w = graded_sum({"a": 18, "ab": 4}, 1, letters, d=3, base=2)
+    assert w == x and w._built == x._built == {"a": 3, "ab": 2}
+
+
+def test_graded_relabel_of_built_and_unbuilt_sums_agree():
+    for d, d_alg in ((1, 1), (3, 1), (1, 2), (3, 4)):
+        unbuilt = graded_sum({"a": 9, "ab": -2, "abc": 5}, 2, letters, d, d_alg, base=2,
+                             wrap=as_words)
+        built = graded_sum({"a": 9, "ab": -2, "abc": 5}, 2, letters, d, d_alg, base=2,
+                           wrap=as_words)
+        assert built._terms
+        ups = [graded_relabel(s, lambda b: Word("z" + b)) for s in (unbuilt, built)]
+        assert unbuilt._built is None and ups[0]._built is None
+        assert ups[1]._built is not None
+        assert ups[0]._lift == ups[1]._lift and ups[0]._terms == ups[1]._terms
+        for up in ups:
+            assert_lift_exact(up)
+            assert all(type(b) is Word for b in up._terms)
+
+
+def test_pickle_and_copy_of_an_unbuilt_sum():
+    x = graded_sum({"a": 9, "ab": 2, "abc": 5}, 2, letters, d=3, base=2, wrap=as_words)
+    for clone in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert clone._built is None and clone._lift == x._lift
+        assert clone._lift[0][0] is letters
+        assert clone == x and clone._built is None
+        assert clone._terms == x._terms and all(type(b) is Word for b in clone._terms)
+    assert pickle.loads(pickle.dumps(x))._terms == x._terms

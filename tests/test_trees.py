@@ -543,6 +543,26 @@ def test_products_at_two_thirds_keep_integral_coefficients_int():
     assert kinds == {int, Fraction}
 
 
+def test_lifted_products_compared_by_lift_build_no_terms():
+    # at weight 2/3 every product is lifted; (ab)c and a(bc) share one lift
+    # key, so comparing them, and taking ab and bc in as operands, reads no
+    # coefficient
+    alg = TreeAlgebra(family_structure(Fraction(2, 3)))
+    pool = small_pool()
+    checked = 0
+    for a in pool:
+        for b in pool:
+            for c in pool:
+                ab, bc = alg.product(term(a), term(b)), alg.product(term(b), term(c))
+                if len(ab._lift[1]) == 1 or len(bc._lift[1]) == 1:
+                    continue
+                left, right = alg.product(ab, term(c)), alg.product(term(a), bc)
+                assert left == right
+                assert [s._built for s in (ab, bc, left, right)] == [None] * 4
+                checked += 1
+    assert checked > 100
+
+
 def test_memo_result_trees_are_one_object_per_tree():
     alg = TreeAlgebra(family_structure(Fraction(2, 3)))
     pool = small_pool()

@@ -6,22 +6,22 @@ and 16^6 candidate tuples for the three levels), filtering layer by layer:
 a (left, right) pair that is not diassociative prunes every extension, an
 EDS failure prunes every (star, dot) extension.  Survivors are reported
 both raw and as canonical representatives of carrier-permutation orbits
-(lexicographically least member).  The search can be partitioned by the
-(left, right) prefix across worker processes; the merge is a canonical
-sort either way.
+(lexicographically least member).  The search walks the ``LEVELS``
+chain from its root and runs in one process: at n = 2 a worker pool
+costs more to start than the whole search.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import tables as fixtures
 from .omega import OmegaStructure, OpTable, StructureError, check_lambda_ets, check_maps_level
 from .omega import LEVELS, is_commutative, opposite, pointwise_filter, swap_conjugate
+from .omega import _default_labels
 
 __all__ = [
     "EnumerationResult",
@@ -40,8 +40,10 @@ __all__ = [
 
 DEFAULT_SAMPLES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2))
 
-# the tables of a candidate tuple, in the argument order of the level's filter
-LEVEL_FIELDS = {level: LEVELS[level][1] for level in ("diassoc", "eds", "ets")}
+# the levels whose fields are all operation tables (lam is the one that is not)
+ENUMERABLE_LEVELS = tuple(level for level, (_, names, _) in LEVELS.items() if "lam" not in names)
+# n = 3 alone would build 387M prefix tuples before any check runs
+ENUMERABLE_SIZES = (1, 2)
 
 
 def all_op_rows(n: int):
@@ -72,19 +74,27 @@ def canonical_tuple(tabs, n: int):
     return best
 
 
-def _scan_prefixes(args):
-    level, n, prefixes = args
+def _require_size(n) -> None:
+    if n not in ENUMERABLE_SIZES:
+        sizes = " and ".join(map(str, ENUMERABLE_SIZES))
+        raise StructureError(f"enumeration is supported for sizes {sizes}, not {n}")
+
+
+def _survivors(level: str, n: int):
+    """The table tuples that pass every filter of the level's chain: each level,
+    root first, extends its base's survivors by one table per field it adds."""
+    chain = [level]
+    while LEVELS[chain[-1]][0]:
+        chain.append(LEVELS[chain[-1]][0])
     tabs = all_op_rows(n)
-    dia_ok = pointwise_filter("diassoc")
-    out = [p for p in prefixes if dia_ok(*p)]
-    if level == "diassoc":
-        return out
-    eds_ok = pointwise_filter("eds")
-    out = [(L, R, Lh, Rh) for L, R in out for Lh in tabs for Rh in tabs if eds_ok(L, R, Lh, Rh)]
-    if level == "eds":
-        return out
-    ets_ok = pointwise_filter("ets")
-    return [p + (S, D) for p in out for S in tabs for D in tabs if ets_ok(*p, S, D)]
+    out, width = [()], 0
+    for step in reversed(chain):
+        names = LEVELS[step][1]
+        ok = pointwise_filter(step)
+        ext = list(itertools.product(tabs, repeat=len(names) - width))
+        out = [c for c in (p + e for p in out for e in ext) if ok(*c)]
+        width = len(names)
+    return out
 
 
 @dataclass
@@ -104,7 +114,7 @@ class EnumerationResult:
         return len(self.reps)
 
     def records(self):
-        names = LEVEL_FIELDS[self.level]
+        names = LEVELS[self.level][1]
         return [
             {name: [list(row) for row in rows] for name, rows in zip(names, tabs)}
             for tabs in self.reps
@@ -124,7 +134,7 @@ class EnumerationResult:
         )
 
     def to_text(self) -> str:
-        names = LEVEL_FIELDS[self.level]
+        names = LEVELS[self.level][1]
         head = f"{self.level} structures on {self.n} elements: "
         head += f"{self.raw_count} raw, {self.class_count} up to relabeling"
         lines = [head, ""]
@@ -137,35 +147,23 @@ class EnumerationResult:
         return "\n".join(lines) + "\n"
 
 
-def enumerate_level(level: str, n: int = 2, workers: int | None = None) -> EnumerationResult:
+def enumerate_level(level: str, n: int = 2, workers: int = 1) -> EnumerationResult:
     """Filter the full table-tuple space at the given level.
 
     Layered early-exit filtering over the 16^2 / 16^4 / 16^6 candidate
     space at n = 2; identical survivor set to the naive product scan.
+    ``workers`` is kept for callers that pass ``workers=1``; the search
+    runs in one process, so any other value is refused.
     """
-    if level not in LEVEL_FIELDS:
+    if level not in ENUMERABLE_LEVELS:
         raise StructureError(f"unknown enumeration level {level!r}")
-    if n not in (1, 2):
-        # n = 3 alone would build 387M prefix tuples before any check runs
-        raise StructureError(f"enumeration is supported for sizes 1 and 2, not {n}")
-    if workers is None:
-        workers = int(os.environ.get("OMEGARB_WORKERS", "1"))
-    if workers < 1:
-        raise StructureError(f"enumeration needs at least 1 worker, not {workers}")
-    tabs = all_op_rows(n)
-    prefixes = [(L, R) for L in tabs for R in tabs]
-    if workers > 1:
-        import multiprocessing  # only here: the import costs every CLI run about 10 ms
-        chunks = [prefixes[i::workers] for i in range(workers)]
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_scan_prefixes, [(level, n, ch) for ch in chunks])
-        raw = [t for part in parts for t in part]
-    else:
-        raw = _scan_prefixes((level, n, prefixes))
+    _require_size(n)
+    if workers != 1:
+        raise StructureError(f"enumeration runs in one process, not {workers} workers")
+    raw = _survivors(level, n)
     raw.sort()
-    reps = sorted({canonical_tuple(tabs_, n) for tabs_ in raw})
-    labels = tuple("abcdefghij"[:n]) if n <= 10 else tuple(f"e{i}" for i in range(n))
-    return EnumerationResult(level=level, n=n, labels=labels, raw=raw, reps=reps)
+    reps = sorted({canonical_tuple(tabs, n) for tabs in raw})
+    return EnumerationResult(level=level, n=n, labels=_default_labels(n), raw=raw, reps=reps)
 
 
 def fixture_canonical_set():
@@ -189,18 +187,21 @@ def diff_against_fixtures(result: EnumerationResult):
 def load_fixture_file(path: str, level: str | None = None, size: int | None = None):
     """(level, size, canonical classes) of a fixture JSON file.
 
-    A file without the fixture's shape, or (when ``level`` and ``size`` are
-    given) one made for another level or size, raises StructureError before
-    any class is canonicalized."""
+    A file without the fixture's shape or for a size that is not enumerated,
+    or (when ``level`` and ``size`` are given) one made for another level or
+    size, raises StructureError before any class is canonicalized."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
         got = data["level"], data["size"]
-        names = LEVEL_FIELDS[got[0]]
+        if got[0] not in ENUMERABLE_LEVELS:
+            raise KeyError(got[0])
         if level is not None and got != (level, size):
             raise StructureError(
                 f"fixture file is for level {got[0]!r} size {got[1]}, got {level!r} size {size}"
             )
+        _require_size(got[1])
+        names = LEVELS[got[0]][1]
         out = set()
         for rec in data["classes"]:
             tabs = tuple(tuple(tuple(row) for row in rec[name]) for name in names)

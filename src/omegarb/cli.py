@@ -3,7 +3,7 @@
 Subcommands: ``check`` (axiom reports on structure files), ``product``
 (tree-sum expressions over a structure), ``words`` (word-sum expressions
 over a structure and an algebra), ``enumerate`` (brute-force classification
-with an optional fixture diff), ``verify-tables`` (the shipped
+in one process, with an optional fixture diff), ``verify-tables`` (the shipped
 classification fixtures and their remarks), ``dendriform`` (weight-0
 two-operation identities over sampled trees), and ``evaluate`` (the
 universal morphism for a generator substitution).
@@ -110,7 +110,7 @@ def cmd_enumerate(args) -> int:
     if args.diff:
         # a bad fixture is refused before the enumeration runs and prints
         _, _, expected = classify.load_fixture_file(args.diff, args.level, args.size)
-    result = classify.enumerate_level(args.level, n=args.size, workers=args.workers)
+    result = classify.enumerate_level(args.level, n=args.size)
     text = result.to_json() if args.format == "json" else result.to_text()
     _emit(text, args.out)
     if args.diff:
@@ -210,11 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_words)
 
     p = sub.add_parser("enumerate", help="brute-force classification")
-    p.add_argument("--level", default="ets", choices=("diassoc", "eds", "ets"))
+    p.add_argument("--level", default="ets", choices=classify.ENUMERABLE_LEVELS)
     p.add_argument("--size", type=int, default=2)
     p.add_argument("--diff", help="fixture JSON to compare classes against")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: OMEGARB_WORKERS or 1)")
     common(p)
     p.set_defaults(fn=cmd_enumerate)
 

@@ -14,6 +14,7 @@ from itertools import product as iproduct
 
 from omegarb import classify
 from omegarb.omega import (
+    ETS_MAP_TO_POINTWISE_TAGS,
     MAP_TO_POINTWISE_TAGS,
     OmegaStructure,
     OpTable,
@@ -410,31 +411,39 @@ def test_criterion_7_formulation_equivalence():
     structures += [s for _, s in construction_instances() if s.has_strict_weight]
     structures += [s for _, s in strict_commutative_instances(Fraction(1, 2))]
     mismatches = []
-    for s in structures:
-        pointwise = check_lambda_ets(s)
-        maps = check_maps_level(s)
+
+    def compare(s, pointwise, maps, groups):
         if pointwise.ok != maps.ok:
             mismatches.append(("verdict", s))
-            continue
+            return
         pt = pointwise.failed_tags()
         mt = maps.failed_tags()
-        for map_tag, group in MAP_TO_POINTWISE_TAGS.items():
+        for map_tag, group in groups.items():
             if (map_tag in mt) != any(g in pt for g in group):
                 mismatches.append((map_tag, s))
-    # the star level, over all enumeration survivors and near misses
-    ets_result = classify.enumerate_level("ets")
-    names6 = ("left", "right", "lhd", "rhd", "star", "dot")
-    for tabs in ets_result.raw:
-        s = OmegaStructure(
-            size=2, labels=("a", "b"), **{nm: OpTable(t) for nm, t in zip(names6, tabs)}
-        )
-        if check_ets(s).ok != check_ets_maps_level(s).ok:
-            mismatches.append(("ets-verdict", s))
+
+    for s in structures:
+        compare(s, check_lambda_ets(s), check_maps_level(s), MAP_TO_POINTWISE_TAGS)
+    # the star level, over every (star, dot) pair on every EDS class: the
+    # passing structures and every near miss
+    star_count = failing = 0
+    for tabs in eds_reps:
+        kwargs = {nm: OpTable(t) for nm, t in zip(names, tabs)}
+        for star in classify.all_op_rows(2):
+            for dot in classify.all_op_rows(2):
+                s = OmegaStructure(
+                    size=2, labels=("a", "b"), star=OpTable(star), dot=OpTable(dot), **kwargs
+                )
+                pointwise = check_ets(s)
+                compare(s, pointwise, check_ets_maps_level(s), ETS_MAP_TO_POINTWISE_TAGS)
+                star_count += 1
+                failing += not pointwise.ok
     report(
         7,
-        not mismatches,
-        f"{len(structures)} strict structures + {ets_result.raw_count} star-level "
-        f"survivors: identical verdicts, tag groups aligned ({time.time() - t0:.1f}s)",
+        not mismatches and star_count == 6144,
+        f"{len(structures)} strict structures + {star_count} strict star structures "
+        f"({failing} failing): identical verdicts, tag groups aligned "
+        f"({time.time() - t0:.1f}s)",
     )
 
 

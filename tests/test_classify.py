@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from omegarb.classify import (
 from omegarb.omega import (
     OmegaStructure,
     OpTable,
+    StructureError,
     check_eds,
     check_ets,
     check_ets_maps_level,
@@ -48,12 +50,31 @@ def test_enumeration_counts_two_elements():
     assert (ets.raw_count, ets.class_count) == (124, 64)
 
 
-def test_enumeration_deterministic_and_parallel_consistent():
+def test_enumeration_is_deterministic_and_runs_in_one_process():
     a = enumerate_level("eds")
-    b = enumerate_level("eds")
+    b = enumerate_level("eds", workers=1)
     assert a.raw == b.raw and a.reps == b.reps
-    c = enumerate_level("eds", workers=2)
-    assert c.raw == a.raw and c.reps == a.reps
+    for workers in (2, 0):
+        with pytest.raises(StructureError, match=f"one process, not {workers} workers"):
+            enumerate_level("eds", workers=workers)
+
+
+def test_only_levels_of_operation_tables_are_enumerated():
+    # lambda-ets holds a weight table, and the map levels are not LEVELS rows
+    assert classify.ENUMERABLE_LEVELS == ("diassoc", "eds", "ets")
+    for level in ("lambda-ets", "maps", "ets-maps"):
+        with pytest.raises(StructureError, match=f"unknown enumeration level {level!r}"):
+            enumerate_level(level)
+
+
+def test_the_chain_walk_keeps_exactly_the_tuples_every_layer_passes():
+    # the naive scan over 16^4 tuples, both filters at once
+    tabs = classify.all_op_rows(2)
+    dia, eds = pointwise_filter("diassoc"), pointwise_filter("eds")
+    naive = sorted(
+        t for t in itertools.product(tabs, repeat=4) if dia(*t[:2]) and eds(*t)
+    )
+    assert enumerate_level("eds").raw == naive
 
 
 def test_every_ets_survivor_passes_both_checkers():

@@ -273,8 +273,11 @@ def test_enumerate_refuses_a_non_json_fixture_first(no_enumeration, tmp_path, ca
     bad = tmp_path / "bad.json"
     bad.write_text("level = eds\n")
     _refused(["enumerate", "--level", "eds", "--diff", str(bad)], capsys)
+    # lambda-ets and maps can be checked but not enumerated
     for text in ("[]", '{"level": "nope", "size": 2, "classes": []}',
-                 '{"level": "eds", "size": 2, "classes": [{"left": 3}]}'):
+                 '{"level": "eds", "size": 2, "classes": [{"left": 3}]}',
+                 '{"level": "lambda-ets", "size": 2, "classes": []}',
+                 '{"level": "maps", "size": 2, "classes": []}'):
         bad.write_text(text)
         assert "not a classification fixture" in _refused(
             ["enumerate", "--level", "eds", "--diff", str(bad)], capsys)
@@ -288,10 +291,30 @@ def test_enumerate_refuses_a_fixture_of_another_level_first(no_enumeration, caps
     assert "got 'ets' size 1" in err
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_enumerate_refuses_workers_below_one(no_enumeration, capsys, workers):
-    err = _refused(["enumerate", "--level", "diassoc", "--workers", workers], capsys)
-    assert f"at least 1 worker, not {workers}" in err
+def test_enumerate_refuses_a_fixture_of_an_unsupported_size_before_canonicalizing(
+        no_enumeration, monkeypatch, tmp_path, capsys):
+    from omegarb import classify
+
+    def refused(tabs, n):
+        raise AssertionError("no class may be canonicalized")
+
+    monkeypatch.setattr(classify, "canonical_tuple", refused)
+    # 12! relabelings per class: canonicalizing one would take hours
+    table = [[0] * 12 for _ in range(12)]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"level": "diassoc", "size": 12,
+                               "classes": [{"left": table, "right": table}]}))
+    err = _refused(["enumerate", "--level", "diassoc", "--size", "12", "--diff", str(big)],
+                   capsys)
+    assert "sizes 1 and 2, not 12" in err
+
+
+def test_enumerate_has_no_workers_flag(no_enumeration, capsys):
+    # the enumeration runs in one process, so argparse refuses the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--level", "diassoc", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])
@@ -574,6 +597,19 @@ def test_failing_reports_match_the_pinned_fixture(level, fmt, ext, tmp_path):
             "--format", fmt, "--out", str(out)]
     assert main(argv) == 1
     assert out.read_bytes() == (ROOT / "fixtures" / "all_layers_fail" / f"{level}.{ext}").read_bytes()
+
+
+@pytest.mark.parametrize("level", ["diassoc", "eds", "ets"])
+@pytest.mark.parametrize("size", [1, 2])
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
+def test_enumeration_output_matches_the_pinned_fixture(level, size, fmt, ext, tmp_path):
+    # the raw and class counts and every class table, byte for byte
+    out = tmp_path / "out.txt"
+    argv = ["enumerate", "--level", level, "--size", str(size), "--format", fmt,
+            "--out", str(out)]
+    assert main(argv) == 0
+    pinned = ROOT / "fixtures" / "enumerate" / f"{level}-{size}.{ext}"
+    assert out.read_bytes() == pinned.read_bytes()
 
 
 def test_repeated_carrier_labels_are_a_usage_error(tmp_path, capsys):

@@ -309,8 +309,17 @@ def test_enumerate_refuses_a_fixture_of_an_unsupported_size_before_canonicalizin
     assert "sizes 1 and 2, not 12" in err
 
 
-def test_enumerate_has_no_workers_flag(no_enumeration, capsys):
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_enumerate_refuses_workers_below_one(no_enumeration, capsys, workers):
     # the enumeration runs in one process, so argparse refuses the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--level", "diassoc", "--workers", workers])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --workers" in err
+
+
+def test_enumerate_has_no_workers_flag(no_enumeration, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--level", "diassoc", "--workers", "2"])
     assert exc.value.code == 2

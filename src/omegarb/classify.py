@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import tables as fixtures
 from .omega import OmegaStructure, OpTable, StructureError, check_lambda_ets, check_maps_level
 from .omega import LEVELS, is_commutative, opposite, pointwise_filter, swap_conjugate
-from .omega import _default_labels
+from .omega import _conj_rows, _default_labels
 
 __all__ = [
     "EnumerationResult",
@@ -54,14 +54,6 @@ def all_op_rows(n: int):
 
 def associative_tables(n: int = 2):
     return [t for t in all_op_rows(n) if OpTable(t).is_associative()]
-
-
-def _conj_rows(rows, perm):
-    n = len(rows)
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(tuple(inv[rows[perm[i]][perm[j]]] for j in range(n)) for i in range(n))
 
 
 def canonical_tuple(tabs, n: int):
@@ -168,11 +160,9 @@ def enumerate_level(level: str, n: int = 2, workers: int = 1) -> EnumerationResu
 
 def fixture_canonical_set():
     """Canonical forms of the star-level fixture table, fully expanded."""
-    out = set()
-    for _, s in fixtures.ets_fixture_structures():
-        tabs = (s.left.rows, s.right.rows, s.lhd.rows, s.rhd.rows, s.star.rows, s.dot.rows)
-        out.add(canonical_tuple(tabs, 2))
-    return out
+    names = LEVELS["ets"][1]
+    return {canonical_tuple(tuple(getattr(s, name).rows for name in names), 2)
+            for _, s in fixtures.ets_fixture_structures()}
 
 
 def diff_against_fixtures(result: EnumerationResult):
@@ -189,25 +179,35 @@ def load_fixture_file(path: str, level: str | None = None, size: int | None = No
 
     A file without the fixture's shape or for a size that is not enumerated,
     or (when ``level`` and ``size`` are given) one made for another level or
-    size, raises StructureError before any class is canonicalized."""
+    size, raises StructureError before any class is canonicalized; so does,
+    when it is read, a table that is not size x size over the carrier."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+
+    def refused(exc):
+        return StructureError(f"{path} is not a classification fixture ({exc!r})")
+
     try:
         got = data["level"], data["size"]
         if got[0] not in ENUMERABLE_LEVELS:
             raise KeyError(got[0])
-        if level is not None and got != (level, size):
-            raise StructureError(
-                f"fixture file is for level {got[0]!r} size {got[1]}, got {level!r} size {size}"
-            )
-        _require_size(got[1])
-        names = LEVELS[got[0]][1]
-        out = set()
+    except (KeyError, TypeError) as exc:
+        raise refused(exc) from None
+    if level is not None and got != (level, size):
+        raise StructureError(
+            f"fixture file is for level {got[0]!r} size {got[1]}, got {level!r} size {size}"
+        )
+    _require_size(got[1])
+    names = LEVELS[got[0]][1]
+    out = set()
+    try:
         for rec in data["classes"]:
-            tabs = tuple(tuple(tuple(row) for row in rec[name]) for name in names)
+            tabs = tuple(OpTable(rec[name]).rows for name in names)
+            if any(len(rows) != got[1] for rows in tabs):
+                raise StructureError(f"a table is not {got[1]}x{got[1]}")
             out.add(canonical_tuple(tabs, got[1]))
-    except (KeyError, TypeError, IndexError) as exc:
-        raise StructureError(f"{path} is not a classification fixture ({exc!r})") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise refused(exc) from None
     return got[0], got[1], out
 
 

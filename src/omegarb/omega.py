@@ -109,18 +109,11 @@ class OpTable:
 
     def flipped(self) -> "OpTable":
         """The table of the reversed operation: (i, j) -> self(j, i)."""
-        n = self.n
-        return OpTable(tuple(tuple(self.rows[j][i] for j in range(n)) for i in range(n)))
+        return OpTable(_conj_rows(self.rows, range(self.n), flip=True))
 
     def conjugate(self, perm) -> "OpTable":
         """Relabel the carrier through the permutation perm (a sequence)."""
-        n = self.n
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        return OpTable(
-            tuple(tuple(inv[self.rows[perm[i]][perm[j]]] for j in range(n)) for i in range(n))
-        )
+        return OpTable(_conj_rows(self.rows, perm))
 
     def is_associative(self) -> bool:
         t = self.rows
@@ -142,20 +135,36 @@ class OpTable:
         return f"OpTable({list(map(list, self.rows))})"
 
 
-def _conj_lam(lam, perm):
-    n = len(lam)
-    return tuple(tuple(lam[perm[i]][perm[j]] for j in range(n)) for i in range(n))
-
-
-def _conj_psi(psi, perm):
-    n = len(psi)
-    inv = [0] * n
+def _conj_rows(rows, perm, flip=False, cell=None):
+    """Table rows relabeled through the carrier permutation perm, the two
+    arguments swapped first if ``flip``: cell (i, j) is the cell at
+    (perm[i], perm[j]) renamed by ``cell(x, inv)``, inv the inverse of perm;
+    by default x is a carrier element and becomes inv[x]."""
+    if flip:
+        rows = tuple(zip(*rows))
+    inv = [0] * len(perm)
     for i, p in enumerate(perm):
         inv[p] = i
-    return tuple(
-        tuple(psi[perm[i]][perm[j]].map_basis(lambda b: inv[b]) for j in range(n))
-        for i in range(n)
-    )
+    rename = inv.__getitem__ if cell is None else (lambda x: cell(x, inv))
+    return tuple(tuple(rename(rows[p][q]) for q in perm) for p in perm)
+
+
+# Every table of a structure as (attribute, file key), in file order; the
+# first four are required.  A transform of the carrier acts on each the same way.
+TABLES = (("left", "left"), ("right", "right"), ("lhd", "lhd"), ("rhd", "rhd"),
+          ("dot", "dot"), ("star", "star"), ("lam", "lambda"), ("psi", "psi"))
+
+# how a cell of a weight table is renamed with the carrier: a lambda cell is a
+# scalar, a psi cell a formal sum over the carrier (an OpTable cell is an element)
+_RENAME = {"lam": lambda x, inv: x, "psi": lambda x, inv: x.map_basis(inv.__getitem__)}
+
+
+def _relabel(s, attr, perm, flip=False):
+    """Table ``attr`` of s (an OpTable, or lambda or psi rows) through _conj_rows."""
+    table = getattr(s, attr)
+    if attr in _RENAME:
+        return _conj_rows(table, perm, flip, _RENAME[attr])
+    return OpTable(_conj_rows(table.rows, perm, flip))
 
 
 @dataclass(frozen=True)
@@ -188,10 +197,10 @@ class OmegaStructure:
             raise StructureError("labels count must match size")
         if len(set(self.labels)) < n:
             raise StructureError(f"labels {' '.join(map(str, self.labels))!r} repeat a label")
-        for name in ("left", "right", "lhd", "rhd", "dot", "star"):
-            table = getattr(self, name)
-            if table is not None and table.n != n:
-                raise StructureError(f"table {name} has wrong size")
+        for attr, _ in TABLES:
+            table = getattr(self, attr)
+            if attr not in _RENAME and table is not None and table.n != n:
+                raise StructureError(f"table {attr} has wrong size")
         if self.lam is not None:
             if self.dot is None:
                 raise StructureError("lambda table requires a dot table")
@@ -751,22 +760,11 @@ def check(s: OmegaStructure, level: str) -> AxiomReport:
 
 
 def opposite(s: OmegaStructure) -> OmegaStructure:
-    """All operations reversed, weights transposed."""
-    return replace(
-        s,
-        left=s.right.flipped(),
-        right=s.left.flipped(),
-        lhd=s.rhd.flipped(),
-        rhd=s.lhd.flipped(),
-        dot=s.dot.flipped() if s.dot is not None else None,
-        star=s.star.flipped() if s.star is not None else None,
-        lam=tuple(tuple(s.lam[j][i] for j in range(s.size)) for i in range(s.size))
-        if s.lam is not None
-        else None,
-        psi=tuple(tuple(s.psi[j][i] for j in range(s.size)) for i in range(s.size))
-        if s.psi is not None
-        else None,
-    )
+    """All operations reversed, weights transposed: <- and -> trade tables, as
+    do <| and |>."""
+    trade = {"left": "right", "right": "left", "lhd": "rhd", "rhd": "lhd"}
+    return replace(s, **{attr: _relabel(s, trade.get(attr, attr), range(s.size), flip=True)
+                         for attr, _ in TABLES if getattr(s, attr) is not None})
 
 
 def is_commutative(s: OmegaStructure) -> bool:
@@ -775,17 +773,8 @@ def is_commutative(s: OmegaStructure) -> bool:
 
 def swap_conjugate(s: OmegaStructure, perm) -> OmegaStructure:
     """Relabel the carrier through a permutation (an isomorphism of structures)."""
-    return replace(
-        s,
-        left=s.left.conjugate(perm),
-        right=s.right.conjugate(perm),
-        lhd=s.lhd.conjugate(perm),
-        rhd=s.rhd.conjugate(perm),
-        dot=s.dot.conjugate(perm) if s.dot is not None else None,
-        star=s.star.conjugate(perm) if s.star is not None else None,
-        lam=_conj_lam(s.lam, perm) if s.lam is not None else None,
-        psi=_conj_psi(s.psi, perm) if s.psi is not None else None,
-    )
+    return replace(s, **{attr: _relabel(s, attr, perm)
+                         for attr, _ in TABLES if getattr(s, attr) is not None})
 
 
 def ets_to_lambda_ets(s: OmegaStructure, mu) -> OmegaStructure:
@@ -1070,6 +1059,10 @@ def _as_sum_cell(cell, what):
     return FormalSum.term(_as_integer(cell, f"{what} entry"))
 
 
+# how a cell of a weight table is read (an operation table is an OpTable)
+_CELLS = {"lam": lambda v: _as_scalar(v, "lambda entry"), "psi": lambda v: _as_sum_cell(v, "psi")}
+
+
 def parse_structure(text: str) -> OmegaStructure:
     """Parse the plain-text structure format (``key = value`` lines)."""
     fields = {key: (lineno, value) for lineno, key, value in read_fields(text)}
@@ -1080,38 +1073,28 @@ def parse_structure(text: str) -> OmegaStructure:
         raise StructureError(f"size must be a nonnegative integer, got {size_text!r}")
     size = int(size_text)
     tables = {}
-    for key in ("left", "right", "lhd", "rhd"):
+    for i, (attr, key) in enumerate(TABLES):
         if key not in fields:
-            raise StructureError(f"missing table {key!r}")
-        tables[key] = _as_int_table(_parse_value(fields.pop(key)[1]), key)
-        if tables[key].n != size:
-            raise StructureError(f"table {key} has wrong size")
-    if "labels" in fields:
-        labels = tuple(fields.pop("labels")[1].split())
-    else:
-        labels = _default_labels(size)
-    dot = star = lam = psi = None
-    if "dot" in fields:
-        dot = _as_int_table(_parse_value(fields.pop("dot")[1]), "dot")
-    if "star" in fields:
-        star = _as_int_table(_parse_value(fields.pop("star")[1]), "star")
-    if "lambda" in fields:
-        raw = _parse_value(fields.pop("lambda")[1])
-        lam = tuple(map(tuple, _as_matrix(raw, "lambda", lambda v: _as_scalar(v, "lambda entry"))))
-    if "psi" in fields:
-        raw = _parse_value(fields.pop("psi")[1])
-        psi = tuple(map(tuple, _as_matrix(raw, "psi", lambda v: _as_sum_cell(v, "psi"))))
+            if i < 4:
+                raise StructureError(f"missing table {key!r}")
+            continue
+        raw = _parse_value(fields.pop(key)[1])
+        if attr in _CELLS:
+            tables[attr] = tuple(map(tuple, _as_matrix(raw, key, _CELLS[attr])))
+        else:
+            tables[attr] = _as_int_table(raw, key)
+            if i < 4 and tables[attr].n != size:
+                raise StructureError(f"table {key} has wrong size")
+    # the default labels only once the required tables have bounded the size
+    labels = tuple(fields.pop("labels")[1].split()) if "labels" in fields else _default_labels(size)
     lineno, flag = fields.pop("weight_zero", (None, "false"))
     weight_zero = _as_flag(flag, "weight_zero")
-    if weight_zero and psi is not None:
+    if weight_zero and "psi" in tables:
         raise StructureError(f"line {lineno}: 'psi' and 'weight_zero = true' are exclusive")
     if fields:
         key = next(iter(fields))
         raise StructureError(f"line {fields[key][0]}: unknown key {key!r}")
-    return OmegaStructure(
-        size=size, labels=labels, dot=dot, star=star, lam=lam, psi=psi,
-        weight_zero=weight_zero, **tables,
-    )
+    return OmegaStructure(size=size, labels=labels, weight_zero=weight_zero, **tables)
 
 
 def _fmt_rows(rows, cell=str) -> str:
@@ -1137,16 +1120,11 @@ def _check_labels(labels) -> None:
 def serialize_structure(s: OmegaStructure) -> str:
     _check_labels(s.labels)
     lines = [f"size = {s.size}", "labels = " + " ".join(s.labels)]
-    for key in ("left", "right", "lhd", "rhd"):
-        lines.append(f"{key:<5} = " + _fmt_rows(getattr(s, key).rows))
-    if s.dot is not None:
-        lines.append("dot   = " + _fmt_rows(s.dot.rows))
-    if s.star is not None:
-        lines.append("star  = " + _fmt_rows(s.star.rows))
-    if s.lam is not None:
-        lines.append("lambda = " + _fmt_rows(s.lam))
-    if s.psi is not None:
-        lines.append("psi   = " + _fmt_rows(s.psi, _fmt_sum))
+    for attr, key in TABLES:
+        table = getattr(s, attr)
+        if table is not None:
+            rows = table if attr in _CELLS else table.rows
+            lines.append(f"{key:<5} = " + _fmt_rows(rows, _fmt_sum if attr == "psi" else str))
     if s.weight_zero:
         lines.append("weight_zero = true")
     return "\n".join(lines) + "\n"

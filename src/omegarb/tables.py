@@ -6,7 +6,9 @@ a?a=a, a?b=a, b?a=a, b?b=b.  The first fixture table lists the named
 weight-level families (with generalized weight maps, parametrized by
 scalars l and m); the second lists the star-level structures with their
 admissible (star, dot) option pairs.  Both tables list representatives up
-to the carrier swap.
+to the carrier swap.  Every structure here, the strict (dot, lambda) slices
+of the commutative families included, is built by one constructor from the
+codes of its tables and its weight data.
 
 Fixture review note (H rows of the star-level table): with the two-element
 group table for <- and ->, the identity (a->b).c = a->(b.c) forces the dot
@@ -51,6 +53,13 @@ def TBL(code: str) -> tuple:
 
 def op(code: str) -> OpTable:
     return OpTable(TBL(code))
+
+
+def _on_ab(left, right, lhd, rhd, dot=None, star=None, **weight) -> OmegaStructure:
+    """The structure on {a, b} with the tables of these codes and this weight."""
+    codes = {"left": left, "right": right, "lhd": lhd, "rhd": rhd, "dot": dot, "star": star}
+    return OmegaStructure(size=2, labels=("a", "b"),
+                          **{name: op(code) for name, code in codes.items() if code}, **weight)
 
 
 def _fs(*pairs) -> FormalSum:
@@ -105,16 +114,8 @@ class LambdaEtsRow:
     nparams: int  # 0, 1 (l), or 2 (l, m)
 
     def instantiate(self, l=Fraction(0), m=Fraction(0)) -> OmegaStructure:
-        l, m = Fraction(l), Fraction(m)
-        return OmegaStructure(
-            size=2,
-            labels=("a", "b"),
-            left=op(self.left),
-            right=op(self.right),
-            lhd=op(self.lhd),
-            rhd=op(self.rhd),
-            psi=self.psi_builder(l, m),
-        )
+        return _on_ab(self.left, self.right, self.lhd, self.rhd,
+                      psi=self.psi_builder(Fraction(l), Fraction(m)))
 
 
 _ROWS = [
@@ -159,18 +160,7 @@ F3_ROW = ("aabb", "abab", "abab", "aabb")
 
 
 def f3_instance(dot_code: str, l=Fraction(1)) -> OmegaStructure:
-    l = Fraction(l)
-    table = TBL(dot_code)
-    psi = tuple(tuple(_fs((table[i][j], l)) for j in range(2)) for i in range(2))
-    return OmegaStructure(
-        size=2,
-        labels=("a", "b"),
-        left=op(F3_ROW[0]),
-        right=op(F3_ROW[1]),
-        lhd=op(F3_ROW[2]),
-        rhd=op(F3_ROW[3]),
-        psi=psi,
-    )
+    return _on_ab(*F3_ROW, psi=_psi_scaled(dot_code)(Fraction(l), 0))
 
 
 def lets_row(name: str) -> LambdaEtsRow:
@@ -270,25 +260,9 @@ ETS_ROWS = (
 
 def ets_fixture_structures():
     """All fixture structures of the star-level table, fully expanded."""
-    out = []
-    for row in ETS_ROWS:
-        for star, dot in row.options:
-            out.append(
-                (
-                    f"{row.name}[*={star},.={dot}]",
-                    OmegaStructure(
-                        size=2,
-                        labels=("a", "b"),
-                        left=op(row.left),
-                        right=op(row.right),
-                        lhd=op(row.lhd),
-                        rhd=op(row.rhd),
-                        star=op(star),
-                        dot=op(dot),
-                    ),
-                )
-            )
-    return out
+    return [(f"{row.name}[*={star},.={dot}]",
+             _on_ab(row.left, row.right, row.lhd, row.rhd, star=star, dot=dot))
+            for row in ETS_ROWS for star, dot in row.options]
 
 
 # ---------------------------------------------------------------------------
@@ -331,22 +305,6 @@ def strict_commutative_instances(c=Fraction(1, 2)):
     """Strict (dot, lambda) structures for the commutative families at a
     scalar sample c; each corresponds to a one-parameter slice of its row."""
     c = Fraction(c)
-    out = []
-    for name, rowname, dot_code, lam_builder in _STRICT_COMMUTATIVE:
-        row = lets_row(rowname)
-        out.append(
-            (
-                name,
-                OmegaStructure(
-                    size=2,
-                    labels=("a", "b"),
-                    left=op(row.left),
-                    right=op(row.right),
-                    lhd=op(row.lhd),
-                    rhd=op(row.rhd),
-                    dot=op(dot_code),
-                    lam=lam_builder(c),
-                ),
-            )
-        )
-    return out
+    rows = [(name, lets_row(rowname), dot, lam) for name, rowname, dot, lam in _STRICT_COMMUTATIVE]
+    return [(name, _on_ab(row.left, row.right, row.lhd, row.rhd, dot=dot, lam=lam(c)))
+            for name, row, dot, lam in rows]

@@ -1,11 +1,21 @@
-"""The structure-file reader that the shared record and literal readers
-replaced: a hand-walked tokenizer, a recursive token parser and its own
-``key = value`` loop, kept verbatim as the oracle for the tests.
+"""Frozen oracles for the structure file format and the structure transforms.
 
-:func:`parse_structure` here must return the same structure, or refuse with
-the same message, as :func:`omegarb.omega.parse_structure` on every text.
+The structure-file reader that the shared record and literal readers
+replaced: a hand-walked tokenizer, a recursive token parser and its own
+``key = value`` loop, kept verbatim.  :func:`parse_structure` here must return
+the same structure, or refuse with the same message, as
+:func:`omegarb.omega.parse_structure` on every text.
+
+The writer and the two carrier transforms as they were when each table was
+still listed by hand: :func:`serialize_structure` (with its label check and
+row formatting), :func:`opposite` and :func:`swap_conjugate` (with
+``_conj_lam`` and ``_conj_psi``) are kept verbatim, except that the
+``OpTable.flipped`` and ``OpTable.conjugate`` they call are frozen here too,
+as :func:`_flipped` and :func:`_conjugate`.  Each must give the same result,
+and the writer the same text, as its namesake in :mod:`omegarb.omega`.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 from omegarb.omega import OmegaStructure, OpTable, StructureError, _default_labels
@@ -190,3 +200,108 @@ def parse_structure(text: str) -> OmegaStructure:
         size=size, labels=labels, dot=dot, star=star, lam=lam, psi=psi,
         weight_zero=weight_zero, **tables,
     )
+
+
+def _flipped(self) -> OpTable:
+    """The table of the reversed operation: (i, j) -> self(j, i)."""
+    n = self.n
+    return OpTable(tuple(tuple(self.rows[j][i] for j in range(n)) for i in range(n)))
+
+
+def _conjugate(self, perm) -> OpTable:
+    """Relabel the carrier through the permutation perm (a sequence)."""
+    n = self.n
+    inv = [0] * n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return OpTable(
+        tuple(tuple(inv[self.rows[perm[i]][perm[j]]] for j in range(n)) for i in range(n))
+    )
+
+
+def _conj_lam(lam, perm):
+    n = len(lam)
+    return tuple(tuple(lam[perm[i]][perm[j]] for j in range(n)) for i in range(n))
+
+
+def _conj_psi(psi, perm):
+    n = len(psi)
+    inv = [0] * n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return tuple(
+        tuple(psi[perm[i]][perm[j]].map_basis(lambda b: inv[b]) for j in range(n))
+        for i in range(n)
+    )
+
+
+def opposite(s: OmegaStructure) -> OmegaStructure:
+    """All operations reversed, weights transposed."""
+    return replace(
+        s,
+        left=_flipped(s.right),
+        right=_flipped(s.left),
+        lhd=_flipped(s.rhd),
+        rhd=_flipped(s.lhd),
+        dot=_flipped(s.dot) if s.dot is not None else None,
+        star=_flipped(s.star) if s.star is not None else None,
+        lam=tuple(tuple(s.lam[j][i] for j in range(s.size)) for i in range(s.size))
+        if s.lam is not None
+        else None,
+        psi=tuple(tuple(s.psi[j][i] for j in range(s.size)) for i in range(s.size))
+        if s.psi is not None
+        else None,
+    )
+
+
+def swap_conjugate(s: OmegaStructure, perm) -> OmegaStructure:
+    """Relabel the carrier through a permutation (an isomorphism of structures)."""
+    return replace(
+        s,
+        left=_conjugate(s.left, perm),
+        right=_conjugate(s.right, perm),
+        lhd=_conjugate(s.lhd, perm),
+        rhd=_conjugate(s.rhd, perm),
+        dot=_conjugate(s.dot, perm) if s.dot is not None else None,
+        star=_conjugate(s.star, perm) if s.star is not None else None,
+        lam=_conj_lam(s.lam, perm) if s.lam is not None else None,
+        psi=_conj_psi(s.psi, perm) if s.psi is not None else None,
+    )
+
+
+def _fmt_rows(rows, cell=str) -> str:
+    return "[" + ",".join("[" + ",".join(map(cell, row)) + "]" for row in rows) + "]"
+
+
+def _fmt_sum(cell: FormalSum) -> str:
+    return "{" + ",".join(f"{b}:{c}" for b, c in cell) + "}"
+
+
+def _check_labels(labels) -> None:
+    """Refuse, naming it, a label that a file could not read back: the
+    readers split records, values and label lists on whitespace and on
+    these characters."""
+    for label in labels:
+        if label.split() != [label] or any(ch in label for ch in ",[]{}#;="):
+            raise StructureError(
+                f"label {label!r} cannot be written: a label needs at least one "
+                "character and none of whitespace , [ ] { } # ; ="
+            )
+
+
+def serialize_structure(s: OmegaStructure) -> str:
+    _check_labels(s.labels)
+    lines = [f"size = {s.size}", "labels = " + " ".join(s.labels)]
+    for key in ("left", "right", "lhd", "rhd"):
+        lines.append(f"{key:<5} = " + _fmt_rows(getattr(s, key).rows))
+    if s.dot is not None:
+        lines.append("dot   = " + _fmt_rows(s.dot.rows))
+    if s.star is not None:
+        lines.append("star  = " + _fmt_rows(s.star.rows))
+    if s.lam is not None:
+        lines.append("lambda = " + _fmt_rows(s.lam))
+    if s.psi is not None:
+        lines.append("psi   = " + _fmt_rows(s.psi, _fmt_sum))
+    if s.weight_zero:
+        lines.append("weight_zero = true")
+    return "\n".join(lines) + "\n"

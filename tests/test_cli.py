@@ -273,11 +273,17 @@ def test_enumerate_refuses_a_non_json_fixture_first(no_enumeration, tmp_path, ca
     bad = tmp_path / "bad.json"
     bad.write_text("level = eds\n")
     _refused(["enumerate", "--level", "eds", "--diff", str(bad)], capsys)
-    # lambda-ets and maps can be checked but not enumerated
+    # lambda-ets and maps can be checked but not enumerated; the pinned eds
+    # fixture with a negative entry, over-long rows or a 3x3 table in its
+    # first class is not over the carrier {0, 1}
+    pinned = json.loads((ROOT / "fixtures" / "enumerate" / "eds-2.json").read_text())
+    tables = ([[-1, -1], [-1, -1]], [[0, 0, 1], [0, 0, 1]], [[0, 0, 0]] * 3)
     for text in ("[]", '{"level": "nope", "size": 2, "classes": []}',
                  '{"level": "eds", "size": 2, "classes": [{"left": 3}]}',
                  '{"level": "lambda-ets", "size": 2, "classes": []}',
-                 '{"level": "maps", "size": 2, "classes": []}'):
+                 '{"level": "maps", "size": 2, "classes": []}',
+                 *(json.dumps(pinned | {"classes": [pinned["classes"][0] | {"left": table}]})
+                   for table in tables)):
         bad.write_text(text)
         assert "not a classification fixture" in _refused(
             ["enumerate", "--level", "eds", "--diff", str(bad)], capsys)

@@ -1,16 +1,17 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import pointwise_oracle as oracle
+import structure_oracle
 
 from omegarb import omega as om
-from omegarb.classify import enumerate_level
+from omegarb.classify import associative_tables, enumerate_level
 from omegarb.omega import (
     OmegaStructure,
     OpTable,
@@ -34,7 +35,15 @@ from omegarb.omega import (
     swap_conjugate,
 )
 from omegarb.scalars import FormalSum
-from omegarb.tables import TBL, ets_fixture_structures, lets_row, op
+from omegarb.tables import (
+    LETS_ROWS,
+    TBL,
+    ets_fixture_structures,
+    f3_instance,
+    lets_row,
+    op,
+    strict_commutative_instances,
+)
 from omegarb.words import FiniteAlgebra, serialize_algebra
 
 XOR = op("abba")
@@ -905,3 +914,89 @@ def test_serializers_refuse_a_label_their_format_cannot_read_back(label):
         with pytest.raises(StructureError) as exc:
             serialize(value)
         assert str(exc.value).startswith(f"label {label!r} cannot be written")
+
+
+# -- the carrier transforms and the writer against their frozen oracle --------
+
+_GRID = (0, 1, -1, Fraction(1, 2), Fraction(-2, 3))
+Z3 = OpTable(tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3)))
+
+
+def _psi_structure(rng, n=3):
+    """A random structure on n elements with every table and a psi map."""
+    def table():
+        return OpTable(tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)))
+
+    psi = tuple(tuple(FormalSum({b: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                 for b in rng.sample(range(n), rng.randint(0, n))})
+                      for _ in range(n)) for _ in range(n))
+    return OmegaStructure(size=n, labels=("x", "y", "z")[:n], left=table(), right=table(),
+                          lhd=table(), rhd=table(), dot=table(), star=table(), psi=psi)
+
+
+def _lets_rows():
+    for row in LETS_ROWS:
+        for l, m in product(_GRID, repeat=2):
+            yield f"{row.name}(l={l},m={m})", row.instantiate(l, m)
+
+
+def _f3_instances():
+    for dot in associative_tables(2):
+        code = "".join("ab"[v] for row in dot for v in row)
+        for l in _GRID:
+            yield f"F3(.={code})(l={l})", f3_instance(code, l)
+
+
+def _strict_commutative():
+    for c in _GRID:
+        yield from strict_commutative_instances(c)
+
+
+def _examples():
+    eds = struct("aaaa", "aaaa", "abab", "aabb")
+    yield "weight-zero", example_weight_zero(eds)
+    yield "weight-zero(.=abba)", example_weight_zero(eds, XOR)
+    yield "matching", example_matching([1, Fraction(2, 3), -1], labels=("p", "q", "r"))
+    for l in _GRID:
+        yield f"semigroup({l})", example_semigroup(Z3, l)
+        yield f"abelian-group({l})", example_abelian_group(Z3, l)
+
+
+def _psi_3():
+    rng = random.Random(7)
+    for k in range(20):
+        yield f"psi-3[{k}]", _psi_structure(rng)
+
+
+FROZEN_FAMILIES = {"lets-rows": _lets_rows, "f3": _f3_instances, "ets-fixture": ets_fixture_structures,
+                   "strict-commutative": _strict_commutative, "examples": _examples,
+                   "psi-3": _psi_3}
+
+
+@pytest.mark.parametrize("family", FROZEN_FAMILIES)
+def test_transforms_and_writer_match_the_frozen_oracle(family):
+    for name, s in FROZEN_FAMILIES[family]():
+        text = serialize_structure(s)
+        assert text == structure_oracle.serialize_structure(s), name
+        opp = opposite(s)
+        assert opp == structure_oracle.opposite(s), name
+        assert serialize_structure(opp) == structure_oracle.serialize_structure(opp), name
+        for perm in permutations(range(s.size)):
+            conj = swap_conjugate(s, perm)
+            assert conj == structure_oracle.swap_conjugate(s, perm), (name, perm)
+            assert serialize_structure(conj) == structure_oracle.serialize_structure(conj), name
+
+
+def test_the_frozen_families_fill_every_table_and_hold_3_element_psi_maps():
+    cases = [s for family in FROZEN_FAMILIES.values() for _, s in family()]
+    filled = {attr for s in cases for attr, _ in om.TABLES if getattr(s, attr) is not None}
+    assert filled == {attr for attr, _ in om.TABLES}
+    assert sum(s.size == 3 and s.psi is not None for s in cases) == 20
+
+
+@settings(max_examples=100, deadline=None)
+@given(structures(), st.data())
+def test_random_structures_transform_as_the_frozen_oracle_does(s, data):
+    perm = data.draw(st.permutations(range(s.size)))
+    assert opposite(s) == structure_oracle.opposite(s)
+    assert swap_conjugate(s, perm) == structure_oracle.swap_conjugate(s, perm)

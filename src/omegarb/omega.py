@@ -1086,7 +1086,8 @@ def parse_structure(text: str) -> OmegaStructure:
             if i < 4 and tables[attr].n != size:
                 raise StructureError(f"table {key} has wrong size")
     # the default labels only once the required tables have bounded the size
-    labels = tuple(fields.pop("labels")[1].split()) if "labels" in fields else _default_labels(size)
+    labels_field = fields.pop("labels", None)
+    labels = tuple(labels_field[1].split()) if labels_field else _default_labels(size)
     lineno, flag = fields.pop("weight_zero", (None, "false"))
     weight_zero = _as_flag(flag, "weight_zero")
     if weight_zero and "psi" in tables:
@@ -1094,7 +1095,10 @@ def parse_structure(text: str) -> OmegaStructure:
     if fields:
         key = next(iter(fields))
         raise StructureError(f"line {fields[key][0]}: unknown key {key!r}")
-    return OmegaStructure(size=size, labels=labels, weight_zero=weight_zero, **tables)
+    s = OmegaStructure(size=size, labels=labels, weight_zero=weight_zero, **tables)
+    if labels_field:
+        _check_labels(labels, f"line {labels_field[0]}: ")
+    return s
 
 
 def _fmt_rows(rows, cell=str) -> str:
@@ -1105,14 +1109,15 @@ def _fmt_sum(cell: FormalSum) -> str:
     return "{" + ",".join(f"{b}:{c}" for b, c in cell) + "}"
 
 
-def _check_labels(labels) -> None:
+def _check_labels(labels, where: str = "") -> None:
     """Refuse, naming it, a label that a file could not read back: the
     readers split records, values and label lists on whitespace and on
-    these characters."""
+    these characters.  The readers refuse one too, with ``where`` naming
+    its line."""
     for label in labels:
         if label.split() != [label] or any(ch in label for ch in ",[]{}#;="):
             raise StructureError(
-                f"label {label!r} cannot be written: a label needs at least one "
+                f"{where}label {label!r} cannot be written: a label needs at least one "
                 "character and none of whitespace , [ ] { } # ; ="
             )
 

@@ -47,9 +47,6 @@ from typing import Callable, Iterable, Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
-ZERO = 0
-ONE = 1
-
 
 def parse_scalar(text: str) -> Fraction:
     """Parse a scalar literal "p/q" or "p" (q omitted means 1)."""
@@ -164,7 +161,7 @@ class FormalSum:
         return iter(self.items())
 
     def coeff(self, basis) -> Scalar:
-        return self._terms.get(basis, ZERO)
+        return self._terms.get(basis, 0)
 
     def support(self) -> list:
         return [b for b, _ in self.items()]

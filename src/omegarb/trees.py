@@ -42,9 +42,10 @@ The boundary to exact rationals, ``product``, ``diamond_basis`` and
 
 The expression parser refuses a tree deeper than ``MAX_TREE_DEPTH`` levels
 with :class:`ExprError`, so products and ``evaluate`` on parsed input stay
-inside the default recursion limit.  ``depth``, ``leaf_count``,
-``Tree.sort_key``, pickling and ``tree_to_str`` are iterative and take
-trees of any depth.
+inside the default recursion limit.  A tree's edge count and depth are
+set when it is built, from its subtrees, so ``edge_count`` and ``depth``
+read them at any depth; ``leaf_count``, ``Tree.sort_key``, pickling and
+``tree_to_str`` are iterative and take trees of any depth.
 """
 
 from __future__ import annotations
@@ -159,7 +160,17 @@ def _tree(children: tuple, angles: tuple) -> Tree:
     t = object.__new__(Tree)
     t.children = children
     t.angles = angles
-    t._key = t._depth = t._edges = None
+    t._key = None
+    # the subtrees are built first, so their counts are set (a plain loop: fastest)
+    edges = below = 0
+    for c in children:
+        if c is not None:
+            sub = c[1]
+            edges += sub._edges + 1
+            if sub._depth > below:
+                below = sub._depth
+    t._edges = edges
+    t._depth = below + 1
     entry = _Entry(t, _evict)
     entry.key = key
     while True:
@@ -215,28 +226,15 @@ def graft(omega: int, t: Tree | FormalSum):
     """New root below the argument, connected by an edge typed ``omega``.
 
     On a sum this is the injective relabel :func:`scalars.graded_relabel`,
-    which keeps the sum's lift; a known edge count carries over, plus one.
+    which keeps the sum's lift.
     """
     if isinstance(t, FormalSum):
         return graded_relabel(t, lambda b: graft(omega, b))
-    out = _tree(((omega, t),), ())
-    if t._edges is not None:
-        out._edges = t._edges + 1
-    return out
+    return _tree(((omega, t),), ())
 
 
 def depth(t: Tree) -> int:
-    """Vertices on a longest root-to-leaf path; iterative, so any depth works."""
-    stack = [t]
-    while t._depth is None:
-        node = stack[-1]
-        subs = [c[1] for c in node.children if c is not None]
-        pending = [sub for sub in subs if sub._depth is None]
-        if pending:
-            stack.extend(pending)
-        else:
-            node._depth = 1 + max((sub._depth for sub in subs), default=0)
-            stack.pop()
+    """Vertices on a longest root-to-leaf path, set when the tree is built."""
     return t._depth
 
 
@@ -245,19 +243,7 @@ def branches(t: Tree) -> int:
 
 
 def edge_count(t: Tree) -> int:
-    """Internal edges of a tree; iterative, so any depth works."""
-    if t._edges is not None:
-        return t._edges
-    stack = [t]
-    while t._edges is None:
-        node = stack[-1]
-        subs = [c[1] for c in node.children if c is not None]
-        pending = [sub for sub in subs if sub._edges is None]
-        if pending:
-            stack.extend(pending)
-        else:
-            node._edges = len(subs) + sum(sub._edges for sub in subs)
-            stack.pop()
+    """Internal edges of a tree, set when the tree is built."""
     return t._edges
 
 
@@ -305,26 +291,15 @@ class TreeAlgebra(FreeAlgebra):
         head = t.children[:-1]
         tail = u.children[1:]
         angles = t.angles + u.angles
-        # with D > 1 every tree made here is given its edge count, the grade
-        # that diamond_basis and product divide by, without walking it again
-        graded = self._d != 1
         if last is None or first is None:
             merged = first if last is None else last
-            tree = _tree(head + (merged,) + tail, angles)
-            if graded:
-                tree._edges = edge_count(t) + edge_count(u)
-            res = {tree: 1}
+            res = {_tree(head + (merged,) + tail, angles): 1}
         else:
             a, left_sub = last
             b, right_sub = first
             right, rhd, left, lhd, dot, lam = self._ops[a][b]
             up = _tree(((rhd, left_sub),), ())
             down = _tree(((lhd, right_sub),), ())
-            if graded:
-                el, er = edge_count(left_sub), edge_count(right_sub)
-                up._edges, down._edges = el + 1, er + 1
-                # the edges of t and u outside the two boundary edges
-                outer = edge_count(t) + edge_count(u) - 2 - el - er
             diamond = self._diamond
             # (edge type w, numerators of the subtrees below it, int factor)
             parts = [(right, diamond(up, right_sub), 1), (left, diamond(left_sub, down), 1)]
@@ -336,8 +311,6 @@ class TreeAlgebra(FreeAlgebra):
             for w, sub, factor in parts:
                 for sub_tree, n in sub.items():
                     tree = _tree(head + ((w, sub_tree),) + tail, angles)
-                    if graded:
-                        tree._edges = outer + 1 + sub_tree._edges
                     acc[tree] = get(tree, 0) + factor * n
             res = {tree: n for tree, n in acc.items() if n}
         self._memo[key] = res

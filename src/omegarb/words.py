@@ -368,7 +368,7 @@ def parse_algebra(text: str) -> FiniteAlgebra:
     fields = {key: (lineno, value) for lineno, key, value in read_fields(text, sep=";")}
     if "basis" not in fields or "mult" not in fields:
         raise StructureError("algebra file needs 'basis' and 'mult'")
-    basis = fields.pop("basis")[1]
+    basis_line, basis = fields.pop("basis")
     if basis.startswith("["):  # the bracket form may separate labels with commas
         basis = basis.strip("[]").replace(",", " ")
     labels = basis.split()
@@ -389,7 +389,9 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         key = next(iter(fields))
         raise StructureError(f"line {fields[key][0]}: unknown key {key!r}")
     mult = _as_matrix(raw_mult, "mult", lambda v: _as_sum_cell(v, "mult"))
-    return FiniteAlgebra(labels, mult, unit=unit, commutative=commutative)
+    a = FiniteAlgebra(labels, mult, unit=unit, commutative=commutative)
+    _check_labels(a.labels, f"line {basis_line}: ")
+    return a
 
 
 def serialize_algebra(a: FiniteAlgebra) -> str:

@@ -553,78 +553,120 @@ def test_weight_zero_mode_drops_psi_in_every_layer(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2*([a]([a](|)))"
 
 
-@pytest.mark.parametrize("command", ["words", "product"])
-@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
-def test_fractional_weight_output_matches_the_pinned_fixture(command, fmt, ext, tmp_path):
-    # weights 1/2 and 2/3: the output, byte for byte, of the Fraction-based kernel
-    pinned = ROOT / "fixtures" / "family_half"
-    expr = (pinned / f"{command}.expr").read_text().strip()
-    out = tmp_path / "out.txt"
-    argv = [command, "--omega", str(ROOT / "sample_inputs" / "family_half.txt"),
-            "--expr", expr, "--format", fmt, "--out", str(out)]
-    if command == "words":
-        argv += ["--algebra", str(ROOT / "sample_inputs" / "truncated_poly.txt")]
-    assert main(argv) == 0
-    assert out.read_bytes() == (pinned / f"{command}.{ext}").read_bytes()
+# -- every pinned output, byte for byte ----------------------------------------
 
 
-@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
-def test_chained_products_match_the_pinned_fixture(fmt, ext, tmp_path):
-    # three-factor chains at weights 1/2 and 2/3, a tree chain (first line
-    # of chain.expr) then a word chain (second line), each output in turn
-    pinned = ROOT / "fixtures" / "family_half"
-    tree_expr, word_expr = (pinned / "chain.expr").read_text().splitlines()
-    omega_file = str(ROOT / "sample_inputs" / "family_half.txt")
-    runs = [
-        ["product", "--omega", omega_file, "--expr", tree_expr],
-        ["words", "--omega", omega_file, "--expr", word_expr,
-         "--algebra", str(ROOT / "sample_inputs" / "truncated_poly.txt")],
-    ]
+def _pinned_outputs():
+    """Rows (test, id, runs, pinned file under fixtures/, exit code): each
+    run is an argv, and the outputs of a row's runs, one after the other,
+    are its pinned file."""
+    fixtures, samples = ROOT / "fixtures", ROOT / "sample_inputs"
+    half, z2 = str(samples / "family_half.txt"), str(samples / "family_z2.txt")
+    poly = ["--algebra", str(samples / "truncated_poly.txt")]
+
+    def expr(name, line=0):
+        return (fixtures / name).read_text().splitlines()[line]
+
+    rows = []
+    for fmt, ext in (("text", "txt"), ("json", "json")):
+        f = ["--format", fmt]
+        # the raw and class counts and every class table
+        for size in (1, 2):
+            for level in ("diassoc", "eds", "ets"):
+                argv = ["enumerate", "--level", level, "--size", str(size)] + f
+                rows.append(("enumeration", f"{fmt}-{ext}-{size}-{level}", [argv],
+                             f"enumerate/{level}-{size}.{ext}", 0))
+        # three elements that fail every tag of lambda-ets, star tags at ets
+        # too, and every map identity at both map levels: the tags, first
+        # witnesses, counts and order of every layer
+        for level in ("diassoc", "eds", "lambda-ets", "ets", "maps", "ets-maps"):
+            argv = ["check", str(samples / "all_layers_fail.txt"), "--level", level] + f
+            rows.append(("failing_reports", f"{fmt}-{ext}-{level}", [argv],
+                         f"all_layers_fail/{level}.{ext}", 1))
+        # weights 1/2 and 2/3: the output of the Fraction-based kernel
+        words = ["words", "--omega", half, "--expr", expr("family_half/words.expr")] + poly + f
+        product = ["product", "--omega", half, "--expr", expr("family_half/product.expr")] + f
+        rows.append(("fractional_weight", f"{fmt}-{ext}-words", [words], f"family_half/words.{ext}", 0))
+        rows.append(("fractional_weight", f"{fmt}-{ext}-product", [product],
+                     f"family_half/product.{ext}", 0))
+        # three-factor chains at weights 1/2 and 2/3: a tree chain, then a word chain
+        chain = [["product", "--omega", half, "--expr", expr("family_half/chain.expr")] + f,
+                 ["words", "--omega", half, "--expr", expr("family_half/chain.expr", 1)] + poly + f]
+        rows.append(("chained_products", f"{fmt}-{ext}", chain, f"family_half/chain.{ext}", 0))
+        # weight 1 on the Z/2 family: products of 3- to 5-letter words
+        words = ["words", "--omega", z2, "--expr", expr("family_z2/words.expr")] + poly + f
+        rows.append(("integral_weight_words", f"{fmt}-{ext}", [words], f"family_z2/words.{ext}", 0))
+        pinned = [
+            ([["verify-tables", "--samples", "0,1,-1,1/2"] + f], f"verify_tables/tables.{ext}", 0),
+            ([["check", half, "--level", "maps"] + f], f"family_half/maps.{ext}", 1),
+            ([["check", str(samples / "generalized_psi.txt"), "--level", "maps"] + f],
+             f"generalized_psi/maps.{ext}", 0),
+            ([["words", "--omega", z2, "--expr", "1 [a] x [b] 1 * 1 [b] x [a] x"] + poly + f],
+             f"family_z2/one_pass.{ext}", 0),
+            # the README example, then a product of two substituted trees
+            ([["evaluate", "--omega", z2, "--subst", str(fixtures / "trees_cli" / "subst.txt"),
+               "--expr", expr("trees_cli/evaluate.expr", line)] + f for line in (0, 1)],
+             f"trees_cli/evaluate.{ext}", 0),
+            ([["dendriform", "--omega", z2, "--samples", "6", "--seed", "0"] + f],
+             f"trees_cli/dendriform_pass.{ext}", 0),
+            ([["dendriform", "--omega", str(samples / "all_layers_fail.txt"), "--samples", "6",
+               "--seed", "0"] + f], f"trees_cli/dendriform_fail.{ext}", 1),
+        ]
+        # half_line.txt has x^2 = (3/2) x, so the unitized algebra has D_A = 2
+        for omega in ("half", "z2"):
+            argv = ["words", "--omega", str(samples / f"family_{omega}.txt"), "--expr",
+                    expr("unitized_half/words.expr"), "--algebra", str(samples / "half_line.txt"),
+                    "--unitize"] + f
+            pinned.append(([argv], f"unitized_half/{omega}.{ext}", 0))
+        rows += [("other", name, runs, name, code) for runs, name, code in pinned]
+    return rows
+
+
+PINNED_OUTPUTS = _pinned_outputs()
+
+
+def _pinned(test):
+    return [pytest.param(runs, name, code, id=row_id)
+            for group, row_id, runs, name, code in PINNED_OUTPUTS if group == test]
+
+
+def _check_pinned(runs, name, code, tmp_path):
     got = b""
     for i, argv in enumerate(runs):
         out = tmp_path / f"out{i}.txt"
-        assert main(argv + ["--format", fmt, "--out", str(out)]) == 0
+        assert main(argv + ["--out", str(out)]) == code
         got += out.read_bytes()
-    assert got == (pinned / f"chain.{ext}").read_bytes()
+    assert got == (ROOT / "fixtures" / name).read_bytes()
 
 
-@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
-def test_integral_weight_word_output_matches_the_pinned_fixture(fmt, ext, tmp_path):
-    # weight 1 on the Z/2 family: products of 3- to 5-letter words
-    pinned = ROOT / "fixtures" / "family_z2"
-    out = tmp_path / "out.txt"
-    argv = ["words", "--omega", str(ROOT / "sample_inputs" / "family_z2.txt"),
-            "--algebra", str(ROOT / "sample_inputs" / "truncated_poly.txt"),
-            "--expr", (pinned / "words.expr").read_text().strip(),
-            "--format", fmt, "--out", str(out)]
-    assert main(argv) == 0
-    assert out.read_bytes() == (pinned / f"words.{ext}").read_bytes()
+@pytest.mark.parametrize("runs, name, code", _pinned("enumeration"))
+def test_enumeration_output_matches_the_pinned_fixture(runs, name, code, tmp_path):
+    _check_pinned(runs, name, code, tmp_path)
 
 
-@pytest.mark.parametrize("level", ["diassoc", "eds", "lambda-ets", "ets", "maps", "ets-maps"])
-@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
-def test_failing_reports_match_the_pinned_fixture(level, fmt, ext, tmp_path):
-    # three elements that fail every tag of lambda-ets, star tags at ets too,
-    # and every map identity at both map levels: pins the tags, first
-    # witnesses, counts and order of every layer
-    out = tmp_path / "out.txt"
-    argv = ["check", str(ROOT / "sample_inputs" / "all_layers_fail.txt"), "--level", level,
-            "--format", fmt, "--out", str(out)]
-    assert main(argv) == 1
-    assert out.read_bytes() == (ROOT / "fixtures" / "all_layers_fail" / f"{level}.{ext}").read_bytes()
+@pytest.mark.parametrize("runs, name, code", _pinned("failing_reports"))
+def test_failing_reports_match_the_pinned_fixture(runs, name, code, tmp_path):
+    _check_pinned(runs, name, code, tmp_path)
 
 
-@pytest.mark.parametrize("level", ["diassoc", "eds", "ets"])
-@pytest.mark.parametrize("size", [1, 2])
-@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("json", "json")])
-def test_enumeration_output_matches_the_pinned_fixture(level, size, fmt, ext, tmp_path):
-    # the raw and class counts and every class table, byte for byte
-    out = tmp_path / "out.txt"
-    argv = ["enumerate", "--level", level, "--size", str(size), "--format", fmt,
-            "--out", str(out)]
-    assert main(argv) == 0
-    pinned = ROOT / "fixtures" / "enumerate" / f"{level}-{size}.{ext}"
-    assert out.read_bytes() == pinned.read_bytes()
+@pytest.mark.parametrize("runs, name, code", _pinned("fractional_weight"))
+def test_fractional_weight_output_matches_the_pinned_fixture(runs, name, code, tmp_path):
+    _check_pinned(runs, name, code, tmp_path)
+
+
+@pytest.mark.parametrize("runs, name, code", _pinned("chained_products"))
+def test_chained_products_match_the_pinned_fixture(runs, name, code, tmp_path):
+    _check_pinned(runs, name, code, tmp_path)
+
+
+@pytest.mark.parametrize("runs, name, code", _pinned("integral_weight_words"))
+def test_integral_weight_word_output_matches_the_pinned_fixture(runs, name, code, tmp_path):
+    _check_pinned(runs, name, code, tmp_path)
+
+
+@pytest.mark.parametrize("runs, name, code", _pinned("other"))
+def test_output_matches_the_pinned_fixture(runs, name, code, tmp_path):
+    _check_pinned(runs, name, code, tmp_path)
 
 
 def test_repeated_carrier_labels_are_a_usage_error(tmp_path, capsys):
@@ -749,16 +791,29 @@ def test_mutated_files_parse_or_exit_2_with_one_line(kind, source, tmp_path, cap
         assert err.startswith("error: ") and err.count("\n") == 1, text
 
 
+def _oracle_outcome(text):
+    """The frozen oracle's outcome, except that labels the writer refuses
+    are now refused when read, naming the line of the labels record."""
+    outcome = _outcome(oracle.parse_structure, text)
+    if outcome[0] == "value":
+        try:
+            oracle._check_labels(outcome[1].labels)
+        except StructureError as exc:
+            lines = [line.split("#", 1)[0].partition("=")[0].strip() for line in text.splitlines()]
+            return "refused", f"line {lines.index('labels') + 1}: {exc}"
+    return outcome
+
+
 @pytest.mark.parametrize("name", STRUCTURE_FILES)
 def test_mutated_structure_files_read_as_the_frozen_oracle_reads_them(name):
     for text in _file_mutants((SAMPLES / name).read_text()):
-        assert _outcome(parse_structure, text) == _outcome(oracle.parse_structure, text), text
+        assert _outcome(parse_structure, text) == _oracle_outcome(text), text
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(_mutations(STRUCTURE_TEXT), _mutations(PSI_TEXT)))
 def test_fuzzed_structure_files_read_as_the_frozen_oracle_reads_them(text):
-    assert _outcome(parse_structure, text) == _outcome(oracle.parse_structure, text)
+    assert _outcome(parse_structure, text) == _oracle_outcome(text)
 
 
 def _scalars(value):

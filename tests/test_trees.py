@@ -84,6 +84,24 @@ def test_edge_count_micro_examples_and_a_deep_ladder():
     assert edge_count(wide) == 1203
 
 
+def test_counts_of_a_long_graft_ladder_are_read_not_walked():
+    t = ladder(100_000)
+    lines = []
+
+    def count_lines(frame, event, arg):
+        lines.append(event)
+        return count_lines
+
+    sys.settrace(count_lines)
+    try:
+        got = edge_count(t), depth(t)
+    finally:
+        sys.settrace(None)
+    assert got == (100_000, 100_001)
+    # two calls of one line each: neither walks the 100,000 vertices
+    assert lines.count("line") <= 4
+
+
 def test_branches_micro_examples():
     assert branches(unit()) == 1
     assert branches(Tree((None, (0, unit())), ("x",))) == 2
@@ -136,11 +154,17 @@ def test_pickle_and_copy_return_the_one_object():
             for proto in range(pickle.HIGHEST_PROTOCOL + 1):
                 assert pickle.loads(pickle.dumps(t, proto)) is t
             assert copy.copy(t) is t and copy.deepcopy(t) is t
-        # a tree nothing refers to left the table, and is built anew from its pickle
+        # a tree nothing refers to left the table, and is built anew from its
+        # pickle, with its counts
         live = len(trees._table)
         blob = pickle.dumps(ladder(5000, bottom="w"))
+        bushy = pickle.dumps(
+            Tree(((0, corolla(("p", "q"))), None, (1, graft(0, unit()))), ("r", "s"))
+        )
         assert len(trees._table) == live
         back = pickle.loads(blob)
+        assert_ladder_counts(back, 5000)
+        assert_counts_match_recursion(subtrees(pickle.loads(bushy)))
         assert back is ladder(5000, bottom="w") and depth(back) == 5001
         assert tree_to_str(back, labels).count("[") == 5000
     finally:
@@ -180,6 +204,8 @@ def test_threads_building_one_tree_get_one_object():
         th.join()
     for out in results[1:]:
         assert all(t is u for t, u in zip(out, results[0]))
+    for t in results[0]:
+        assert_ladder_counts(t, 400)
 
 
 # -- grafting -----------------------------------------------------------------
@@ -721,14 +747,34 @@ def test_mixed_denominator_weights_match_composed_recursion(lam, weight_zero, u,
     for out in outputs:
         for c in out._terms.values():
             assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
-    # the edge counts the kernel stores on its result trees are right
-    for res in alg._memo.values():
-        for t in res:
-            assert t._edges is None or t._edges == edges_by_recursion(t)
+    # every tree in the memo, as a key or a result, was built with its counts
+    assert_counts_match_recursion({t for key, res in alg._memo.items() for t in (*key, *res)})
 
 
 def edges_by_recursion(t):
     return sum(1 + edges_by_recursion(c[1]) for c in t.children if c is not None)
+
+
+def depth_by_recursion(t):
+    return 1 + max((depth_by_recursion(c[1]) for c in t.children if c is not None), default=0)
+
+
+def assert_counts_match_recursion(pool):
+    for t in pool:
+        assert (t._edges, t._depth) == (edges_by_recursion(t), depth_by_recursion(t))
+
+
+def subtrees(t):
+    return [t] + [s for c in t.children if c is not None for s in subtrees(c[1])]
+
+
+def assert_ladder_counts(t, n):
+    """The vertices of ``ladder(n)``, from the root down, have n, n - 1, ...
+    edges below them, and one vertex more on a longest path."""
+    for k in range(n, 0, -1):
+        assert (t._edges, t._depth) == (k, k + 1)
+        ((_, t),) = t.children
+    assert (t._edges, t._depth) == (0, 1)
 
 
 def test_integral_weights_share_the_memo_dict():
@@ -789,7 +835,7 @@ def test_arithmetic_and_grafting_leave_a_lifted_product_unchanged():
     # grafting keeps the lift one grade up, and the edge counts of the trees
     assert up._lift[0] == key[:4] + (key[4] + 1,)
     assert_lift_exact(up)
-    assert all(t._edges == edges_by_recursion(t) for t in up._terms)
+    assert_counts_match_recursion(up._terms)
     ref = ComposedTreeAlgebra(alg.omega)
     plain = graft(0, FormalSum(x.items()))
     assert plain._lift is None and up == plain and hash(up) == hash(plain)

@@ -21,9 +21,9 @@ import sys
 from dataclasses import replace
 
 from . import classify, rba
-from .omega import StructureError, check, parse_structure, read_fields
+from .omega import check, parse_structure, read_fields
 from .scalars import parse_scalar
-from .trees import ExprError, TreeAlgebra, parse_tree_expr, sum_to_str, tree_to_str
+from .trees import TreeAlgebra, parse_tree_expr, sum_to_str, tree_to_str
 from .words import (
     WordAlgebra,
     parse_algebra,
@@ -243,7 +243,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (StructureError, ExprError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
+        # StructureError, ExprError and json.JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -46,22 +46,20 @@ def tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch in "()[]|+*":
+        if ch in "()[]|+-*":
+            # a '-' is always its own token, a sign read by atom
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch == "-" or ch.isdigit():
+        if ch.isdigit():
             j = i + 1
             while j < n and (text[j].isdigit() or text[j] == "/"):
                 j += 1
-            if text[i:j] == "-":
-                tokens.append(("-", "-", i))
-            else:
-                try:
-                    Fraction(text[i:j])
-                except (ValueError, ZeroDivisionError):
-                    raise ExprError(f"bad number literal {text[i:j]!r}", i) from None
-                tokens.append(("num", text[i:j], i))
+            try:
+                Fraction(text[i:j])
+            except (ValueError, ZeroDivisionError):
+                raise ExprError(f"bad number literal {text[i:j]!r}", i) from None
+            tokens.append(("num", text[i:j], i))
             i = j
             continue
         if ch.isalpha() or ch == "_":

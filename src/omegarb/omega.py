@@ -257,7 +257,6 @@ class Violation:
     tag: str
     witness: tuple
     count: int
-    detail: str = ""
 
 
 @dataclass

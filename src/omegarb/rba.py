@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .omega import AxiomReport, StructureError, Violation, _Collector
+from .omega import AxiomReport, StructureError, _Collector
 from .scalars import FormalSum
 from . import trees as _trees
 
@@ -43,8 +43,7 @@ def check_rb_identity(R, samples, structure=None) -> AxiomReport:
     e.g. a perturbed copy), and over ``R.omega`` otherwise.
     """
     samples = list(samples)
-    first = None
-    count = 0
+    col = _Collector()
     om = structure if structure is not None else R.omega
     for idx_u, u in enumerate(samples):
         pu = [R.p_op(a, u) for a in range(om.size)]
@@ -54,15 +53,9 @@ def check_rb_identity(R, samples, structure=None) -> AxiomReport:
                 for b in range(om.size):
                     lhs = R.product(pu[a], pv[b])
                     if lhs != _expansion(R, om, a, b, u, v):
-                        count += 1
-                        if first is None:
-                            first = (a, b, idx_u, idx_v)
-    report = AxiomReport("rb-identity")
-    if count:
-        report.violations.append(
-            Violation("rb", first, count, "witness is (alpha, beta, sample_u, sample_v)")
-        )
-    return report
+                        # witness (alpha, beta, sample u, sample v)
+                        col.hit("rb", (a, b, idx_u, idx_v))
+    return col.report("rb-identity", ("rb",))
 
 
 class DendriformView:

@@ -14,9 +14,9 @@ elements with nonzero coefficients in that canonical form; the zero element
 is the empty sum.  :func:`accumulate` is the one step that adds scaled terms
 into a coefficient dict and keeps it canonical; sums, scalings and
 ``map_basis`` go through it.  The tree and word products work on integer
-numerators instead: :func:`graded_product` is the bilinear extension of a
-graded integer kernel, with ints in its inner loop and one exact division
-per output term (:func:`graded_sum`).
+numerators instead (``FreeAlgebra.product`` in :mod:`omegarb.free`, with
+ints in its inner loop); this module holds the format of their output, one
+exact division per term (:func:`graded_sum`).
 
 A sum made by :func:`graded_sum` (every product output and every cached
 ``diamond_basis`` sum) keeps the graded numerators it was divided from,
@@ -25,9 +25,9 @@ operands).  This *lift* is ``((grade, D, D_A, base, top), numerators)``:
 the coefficient of ``b`` is ``numerators[b] / (base * D**(top - grade(b))
 * D_A**(grade(b) + 1))``.  The key alone fixes what a numerator means,
 whichever algebra made it, so a lift is read only where its key matches:
-:func:`graded_product` takes an operand's numerators as they are when the
-key has the product's grade, D and D_A, and two sums with the same key
-compare their int numerator dicts, with no Fraction.
+``FreeAlgebra.product`` takes an operand's numerators as they are when the
+key has the product's grade, D and D_A (:func:`_operand`), and two sums
+with the same key compare their int numerator dicts, with no Fraction.
 :func:`graded_relabel` (grafting a tree, prefixing a word) carries a lift
 over.  Every other operation returns a sum without one.
 
@@ -269,56 +269,6 @@ def bilinear_extend(fn: Callable[[object, object], FormalSum]):
     return extended
 
 
-def graded_product(x: FormalSum, y: FormalSum, kernel: Callable, grade: Callable,
-                   d: int = 1, d_alg: int = 1, wrap: Callable | None = None) -> FormalSum:
-    """The product of two sums through a graded integer kernel.
-
-    ``kernel(bx, by)`` returns a dict {basis: n} of nonzero int numerators
-    for the product of two basis elements: the coefficient of ``basis`` is
-    ``n / (d**g * d_alg**(grade(basis) + 1))`` with the grade drop
-    ``g = grade(bx) + grade(by) - grade(basis)`` (``d_alg`` is 1 unless the
-    kernel also scales by structure constants).  Each operand is brought to
-    one common denominator and lifted to its top grade (see
-    :func:`_operand`), so the inner loop adds ints only.  An operand whose
-    terms are not built yet gives its size and numerators from its lift,
-    and builds them only when the lift's key does not match.  The output
-    carries its lift, and its terms are built when first read, unless the
-    numerators are its coefficients (d, d_alg and U all 1).  ``wrap``, if
-    given, maps the kernel's keys to the output's basis elements (see
-    :func:`graded_sum`).
-    """
-    xt, yt = x._built, y._built
-    if not (x._lift[1] if xt is None else xt) or not (y._lift[1] if yt is None else yt):
-        return FormalSum._raw({})
-    # the common integral case inline, the rest through _operand
-    if d == 1 and xt is not None and Fraction not in map(type, xt.values()):
-        ux, tx, xs = 1, 0, xt.items()
-    else:
-        ux, tx, xs = _operand(x, grade, d, d_alg)
-    if d == 1 and yt is not None and Fraction not in map(type, yt.values()):
-        uy, ty, ys = 1, 0, yt.items()
-    else:
-        uy, ty, ys = _operand(y, grade, d, d_alg)
-    acc: dict = {}
-    get = acc.get
-    for bx, nx in xs:
-        for by, ny in ys:
-            f = nx * ny
-            if f == 1:
-                for b, n in kernel(bx, by).items():
-                    acc[b] = get(b, 0) + n
-            else:
-                for b, n in kernel(bx, by).items():
-                    acc[b] = get(b, 0) + f * n
-    if 0 in acc.values():
-        drop_zeros(acc)
-    base = ux * uy
-    if d == 1 == d_alg == base:
-        # the numerators are the coefficients
-        return FormalSum._raw(acc if wrap is None else dict(zip(wrap(acc), acc.values())))
-    return graded_sum(acc, tx + ty, grade, d, d_alg, base, wrap)
-
-
 def graded_sum(num: dict, top: int, grade: Callable, d: int = 1, d_alg: int = 1,
                base: int = 1, wrap: Callable | None = None) -> FormalSum:
     """The exact sum with coefficients ``num[b] / (base * d**(top - grade(b))
@@ -385,7 +335,7 @@ def drop_zeros(acc: dict) -> dict:
 
 
 def _operand(s: FormalSum, grade: Callable, d: int, d_alg: int):
-    """(U, top, items) for one operand of :func:`graded_product`: the
+    """(U, top, items) for one operand of ``FreeAlgebra.product``: the
     coefficient of b is ``n / (U * d**(top - grade(b)))`` for each (b, n) in
     items.  A lift whose key matches the product's grade, d and d_alg gives
     them as they are (with d_alg > 1 after moving its per-grade factors

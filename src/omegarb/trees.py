@@ -60,7 +60,7 @@ from .expr import MAX_DEPTH as MAX_TREE_DEPTH
 from .expr import ExprError, ExprParser
 from .free import FreeAlgebra
 from .omega import OmegaStructure, StructureError
-from .scalars import FormalSum, format_sum, graded_relabel
+from .scalars import FormalSum, drop_zeros, format_sum, graded_relabel
 
 __all__ = [
     "Tree",
@@ -312,7 +312,7 @@ class TreeAlgebra(FreeAlgebra):
                 for sub_tree, n in sub.items():
                     tree = _tree(head + ((w, sub_tree),) + tail, angles)
                     acc[tree] = get(tree, 0) + factor * n
-            res = {tree: n for tree, n in acc.items() if n}
+            res = drop_zeros(acc) if 0 in acc.values() else acc
         self._memo[key] = res
         return res
 

@@ -117,7 +117,7 @@ def test_enumerate_diff_match_and_mismatch(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "exact match" in err
     # a doctored fixture file must make the diff fail
-    data = json.loads(open("fixtures/ets2.json").read())
+    data = json.loads(Path("fixtures/ets2.json").read_text())
     data["classes"] = data["classes"][:-1]
     doctored = tmp_path / "doctored.json"
     doctored.write_text(json.dumps(data))
@@ -163,7 +163,7 @@ def test_expression_parse_error_exit_code(family_file, capsys):
 
 
 def test_structure_round_trip_through_serializer(family_file):
-    s = parse_structure(open(family_file).read())
+    s = parse_structure(Path(family_file).read_text())
     assert parse_structure(serialize_structure(s)) == s
     assert s.rhd == op("aabb")
     assert isinstance(s, OmegaStructure)
@@ -437,6 +437,30 @@ def test_both_grammars_share_sums_scaling_and_signs(kind, family_file, algebra_f
     alone = capsys.readouterr().out
     assert main(argv + ["--expr", f"0 + {s}"]) == 0
     assert capsys.readouterr().out == alone
+
+
+# (command, the expression spaced out, glued, the output)
+GLUED_SIGNS = [
+    ("words", "x - 1*x", "x-1*x", "0"),
+    ("words", "x - 1 [a] x", "x-1 [a] x", "x - 1 [a] x"),
+    # the unit is labelled 1: this negates the word 1 [a] x
+    ("words", "- 1 [a] x", "-1 [a] x", "-1 [a] x"),
+    ("words", "x - 2*x", "x-2*x", "-x"),
+    ("product", "(| x |) - 1/2*(| y |)", "(| x |)-1/2*(| y |)", "(| x |) - 1/2*(| y |)"),
+    ("product", "2*(| x |) - 2*(| x |)", "2*(| x |)-2*(| x |)", "0"),
+]
+
+
+@pytest.mark.parametrize("command, spaced, glued, out", GLUED_SIGNS,
+                         ids=[f"{c}:{g}" for c, _, g, _ in GLUED_SIGNS])
+def test_a_minus_before_a_number_is_a_sign(command, spaced, glued, out, family_file,
+                                          algebra_file, capsys):
+    argv = [command, "--omega", family_file]
+    if command == "words":
+        argv += ["--algebra", algebra_file]
+    for text in (spaced, glued):
+        assert main(argv + ["--expr", text]) == 0
+        assert capsys.readouterr().out.strip() == out
 
 
 # -- over-deep input is refused up front ----------------------------------------

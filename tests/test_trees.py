@@ -714,7 +714,7 @@ def test_product_matches_composed_recursion_at_weight(lam):
             uv = alg.product(u, v)
             assert uv == ref.product(u, v)
             assert alg.product(uv, w) == ref.product(ref.product(u, v), w)
-        assert all(type(n) is int for res in alg._memo.values() for n in res.values())
+        assert all(type(n) is int and n for res in alg._memo.values() for n in res.values())
 
 
 LAMBDAS = (0, 1, -1, Fraction(1, 2), Fraction(2, 3), Fraction(-3, 4), Fraction(5, 6), 2)
@@ -742,8 +742,8 @@ def test_mixed_denominator_weights_match_composed_recursion(lam, weight_zero, u,
     for t1, t2 in zip(u.support(), w.support()):
         outputs.append(alg.diamond_basis(t1, t2))
         assert outputs[-1] == ref.diamond_basis(t1, t2)
-    # exact and canonical: int numerators in the memo, int or Fraction out
-    assert all(type(n) is int for res in alg._memo.values() for n in res.values())
+    # exact and canonical: nonzero int numerators in the memo, int or Fraction out
+    assert all(type(n) is int and n for res in alg._memo.values() for n in res.values())
     for out in outputs:
         for c in out._terms.values():
             assert type(c) is int or (type(c) is Fraction and c.denominator > 1)

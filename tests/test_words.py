@@ -588,8 +588,8 @@ def test_mixed_denominators_match_composed_recursion(lam, weight_zero, c, u, v, 
     for a, b in zip(u.support(), w.support()):
         outputs.append(W.diamond_basis(a, b))
         assert outputs[-1] == ref.diamond_basis(a, b)
-    # exact and canonical: int numerators in the memo, int or Fraction out
-    assert all(type(n) is int for res in W._memo.values() for n in res.values())
+    # exact and canonical: nonzero int numerators in the memo, int or Fraction out
+    assert all(type(n) is int and n for res in W._memo.values() for n in res.values())
     for out in outputs:
         for coeff in out._terms.values():
             assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)

@@ -191,6 +191,8 @@ def load_fixture_file(path: str, level: str | None = None, size: int | None = No
         got = data["level"], data["size"]
         if got[0] not in ENUMERABLE_LEVELS:
             raise KeyError(got[0])
+        if type(got[1]) is not int:
+            raise TypeError(f"size {got[1]!r} is not an int")
     except (KeyError, TypeError) as exc:
         raise refused(exc) from None
     if level is not None and got != (level, size):

@@ -161,9 +161,9 @@ class ExprParser:
             raise ExprError(f"{what} deeper than {MAX_DEPTH} levels", tok[2])
 
     def type_label(self) -> int:
-        """Read ``'[' TYPE ']'`` and return the type index."""
+        """Read ``'[' TYPE ']'`` (a name or a number) and return the type index."""
         self.take("[")
-        name = self.take("name")
+        name = self.take("num" if self.peek()[0] == "num" else "name")
         if name[1] not in self.type_index:
             raise ExprError(f"unknown type label {name[1]!r}", name[2])
         self.take("]")

@@ -126,12 +126,8 @@ class FreeAlgebra:
         for s, nx in us:
             for t, ny in vs:
                 f = nx * ny
-                if f == 1:
-                    for b, n in kernel(s, t).items():
-                        acc[b] = get(b, 0) + n
-                else:
-                    for b, n in kernel(s, t).items():
-                        acc[b] = get(b, 0) + f * n
+                for b, n in kernel(s, t).items():
+                    acc[b] = get(b, 0) + f * n
         if 0 in acc.values():
             drop_zeros(acc)
         return self._sum(acc, tx + ty, ux * uy)

@@ -45,10 +45,9 @@ def check_rb_identity(R, samples, structure=None) -> AxiomReport:
     samples = list(samples)
     col = _Collector()
     om = structure if structure is not None else R.omega
-    for idx_u, u in enumerate(samples):
-        pu = [R.p_op(a, u) for a in range(om.size)]
-        for idx_v, v in enumerate(samples):
-            pv = [R.p_op(b, v) for b in range(om.size)]
+    images = [[R.p_op(w, x) for w in range(om.size)] for x in samples]
+    for idx_u, (u, pu) in enumerate(zip(samples, images)):
+        for idx_v, (v, pv) in enumerate(zip(samples, images)):
             for a in range(om.size):
                 for b in range(om.size):
                     lhs = R.product(pu[a], pv[b])

@@ -92,9 +92,7 @@ def _exact(coeff) -> Scalar:
 
 def _sort_key(basis):
     key = getattr(basis, "sort_key", None)
-    if key is not None:
-        return key() if callable(key) else key
-    return basis
+    return basis if key is None else key()
 
 
 class FormalSum:
@@ -288,10 +286,7 @@ def _coefficients(lift: tuple, wrap: Callable | None) -> dict:
     """The canonical terms a lift stands for, one exact division per term."""
     (grade, d, d_alg, base, top), num = lift
     if d == 1:
-        if d_alg == 1:
-            values = [quotient(n, base) for n in num.values()]
-        else:
-            values = [quotient(n, base * d_alg ** (grade(b) + 1)) for b, n in num.items()]
+        values = [quotient(n, base * d_alg ** (grade(b) + 1)) for b, n in num.items()]
     else:
         # the denominator of each grade, indexed by top - grade
         dens = [base * d_alg ** (top - k + 1) * d ** k for k in range(top + 1)]
@@ -371,6 +366,4 @@ def _numerators(terms: dict, grade: Callable, d: int):
         return den, 0, items
     grades = [grade(b) for b in terms]
     top = max(grades)
-    if min(grades) == top:
-        return den, top, items
     return den, top, [(b, n * d ** (top - g)) for (b, n), g in zip(items, grades)]

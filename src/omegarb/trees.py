@@ -44,8 +44,9 @@ The expression parser refuses a tree deeper than ``MAX_TREE_DEPTH`` levels
 with :class:`ExprError`, so products and ``evaluate`` on parsed input stay
 inside the default recursion limit.  A tree's edge count and depth are
 set when it is built, from its subtrees, so ``edge_count`` and ``depth``
-read them at any depth; ``leaf_count``, ``Tree.sort_key``, pickling and
-``tree_to_str`` are iterative and take trees of any depth.
+read them at any depth; ``leaf_count``, ``Tree.sort_key`` (computed when
+asked for, not kept), pickling and ``tree_to_str`` are iterative and take
+trees of any depth.
 """
 
 from __future__ import annotations
@@ -85,9 +86,10 @@ __all__ = [
 class Tree:
     """A typed, angularly decorated planar rooted tree.  Trees are
     hash-consed (see the module docstring), so they compare and hash by
-    identity; pickling and copying return the table's tree, at any depth."""
+    identity; pickling and copying return the table's tree, at any depth.
+    The sort key is computed when asked for and not kept."""
 
-    __slots__ = ("children", "angles", "_key", "_depth", "_edges", "__weakref__")
+    __slots__ = ("children", "angles", "_depth", "_edges", "__weakref__")
 
     def __new__(cls, children, angles):
         return _tree(tuple(children), tuple(angles))
@@ -100,31 +102,26 @@ class Tree:
         (leaf) or 1, edge type and the subtree's sequence.  It orders trees
         as the nested (arity, angles, child markers) tuples would, and is
         built with a stack, so it compares and prints at any depth."""
-        if self._key is None:
-            out = []
-            # (tree, index of the next child to write)
-            stack = [(self, 0)]
-            while stack:
-                node, i = stack.pop()
-                kids = node.children
-                if not i:
-                    if node._key is not None:
-                        out.extend(node._key)
-                        continue
-                    out.append(len(kids))
-                    out.extend(node.angles)
-                for j in range(i, len(kids)):
-                    c = kids[j]
-                    if c is None:
-                        out.append(0)
-                    else:
-                        out.append(1)
-                        out.append(c[0])
-                        stack.append((node, j + 1))
-                        stack.append((c[1], 0))
-                        break
-            self._key = tuple(out)
-        return self._key
+        out = []
+        # (tree, index of the next child to write)
+        stack = [(self, 0)]
+        while stack:
+            node, i = stack.pop()
+            kids = node.children
+            if not i:
+                out.append(len(kids))
+                out.extend(node.angles)
+            for j in range(i, len(kids)):
+                c = kids[j]
+                if c is None:
+                    out.append(0)
+                else:
+                    out.append(1)
+                    out.append(c[0])
+                    stack.append((node, j + 1))
+                    stack.append((c[1], 0))
+                    break
+        return tuple(out)
 
     def __repr__(self):
         return f"Tree{self.sort_key()!r}"
@@ -160,7 +157,6 @@ def _tree(children: tuple, angles: tuple) -> Tree:
     t = object.__new__(Tree)
     t.children = children
     t.angles = angles
-    t._key = None
     # the subtrees are built first, so their counts are set (a plain loop: fastest)
     edges = below = 0
     for c in children:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -313,6 +314,17 @@ def test_enumerate_refuses_a_fixture_of_an_unsupported_size_before_canonicalizin
     err = _refused(["enumerate", "--level", "diassoc", "--size", "12", "--diff", str(big)],
                    capsys)
     assert "sizes 1 and 2, not 12" in err
+
+
+def test_enumerate_refuses_a_fixture_whose_size_is_not_an_int(no_enumeration, tmp_path, capsys):
+    # true == 1 and 1.0 == 1, so a fixture of size true or 1.0 would be
+    # diffed as the size-1 fixture
+    pinned = json.loads((ROOT / "fixtures" / "enumerate" / "ets-1.json").read_text())
+    bad = tmp_path / "ets-1.json"
+    for size in (True, 1.0, "1"):
+        bad.write_text(json.dumps(pinned | {"size": size}))
+        assert "not a classification fixture" in _refused(
+            ["enumerate", "--level", "ets", "--size", "1", "--diff", str(bad)], capsys)
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -858,3 +870,58 @@ def test_literals_read_as_the_frozen_oracle_reads_them(text):
     if got[0] == "value":
         # exact form: an int for an integer, a Fraction only when not integral
         assert all(type(x) is int or x.denominator != 1 for x in _scalars(got[1]))
+
+
+# -- numeric type labels ------------------------------------------------------
+
+def test_numeric_type_labels_read_back_as_printed(tmp_path, capsys):
+    # a structure file may label its types 0 1; what product and words
+    # print, read back as an expression, prints the same text
+    omega = tmp_path / "z2-numeric.txt"
+    omega.write_text(STRUCTURE_TEXT.replace("labels = a b", "labels = 0 1"))
+    half = str(SAMPLES / "half_line.txt")
+    for argv, expr in (
+        (["product", "--omega", str(omega)],
+         "([0](| x |)) * ([1](| x [0](|) x |)) + 2/3*([1](|))"),
+        (["words", "--omega", str(omega), "--algebra", half, "--unitize"],
+         "(x [0] x) * (x [1] x)"),
+    ):
+        assert main(argv + ["--expr", expr]) == 0
+        printed = capsys.readouterr().out
+        assert "[0]" in printed and "[1]" in printed
+        assert main(argv + ["--expr", printed.strip()]) == 0
+        assert capsys.readouterr().out == printed
+    assert main(["product", "--omega", str(omega), "--expr", "([2](|))"]) == 2
+    assert capsys.readouterr().err == "error: unknown type label '2' (at position 2)\n"
+
+
+# -- the benchmark's traced names ---------------------------------------------
+
+def test_the_benchmark_tracer_installs_and_restores_every_traced_name():
+    # perfbench/tracing.py wraps omegarb's callables by name, and a class's
+    # methods through its own __dict__ (TreeAlgebra.product and
+    # WordAlgebra.product are rebound in the class body for this): a rename
+    # or a dropped rebinding fails here, at Tracer() or at install()
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    def bound(owner, attr):
+        return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+
+    namespaces = [tracing.omegarb, *tracing.MODULES]
+    namespaces += [owner for owner, _, _, _ in tracing.TRACED if isinstance(owner, type)]
+    before = [dict(vars(ns)) for ns in namespaces]
+    originals = [bound(owner, attr) for owner, attr, _, _ in tracing.TRACED]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for (owner, attr, name, _), original in zip(tracing.TRACED, originals):
+            assert bound(owner, attr).__wrapped__ is original, name
+    finally:
+        tracer.uninstall()
+    for ns, names in zip(namespaces, before):
+        now = vars(ns)
+        assert now.keys() == names.keys(), ns
+        assert all(now[key] is value for key, value in names.items()), ns

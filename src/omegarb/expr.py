@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .omega import LABEL
 from .scalars import FormalSum
 
 __all__ = ["ExprError", "ExprParser", "tokenize", "MAX_DEPTH"]
@@ -50,6 +51,15 @@ def tokenize(text):
             # a '-' is always its own token, a sign read by atom
             tokens.append((ch, ch, i))
             i += 1
+            if ch == "[":
+                # a type label, read as a file reads it, so that every
+                # label a file accepts, such as 0a or a-b, reads back
+                while i < n and text[i].isspace():
+                    i += 1
+                label = LABEL.match(text, i)
+                if label:
+                    tokens.append(("label", label.group(), i))
+                    i = label.end()
             continue
         if ch.isdigit():
             j = i + 1
@@ -161,9 +171,9 @@ class ExprParser:
             raise ExprError(f"{what} deeper than {MAX_DEPTH} levels", tok[2])
 
     def type_label(self) -> int:
-        """Read ``'[' TYPE ']'`` (a name or a number) and return the type index."""
+        """Read ``'[' TYPE ']'`` and return the type index."""
         self.take("[")
-        name = self.take("num" if self.peek()[0] == "num" else "name")
+        name = self.take("label")
         if name[1] not in self.type_index:
             raise ExprError(f"unknown type label {name[1]!r}", name[2])
         self.take("]")

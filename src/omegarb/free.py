@@ -5,10 +5,12 @@ basis elements, memoized as integer numerators graded by the weight term,
 plus the operators P_w.  :class:`FreeAlgebra` holds what does not depend
 on the basis.  A subclass supplies the recursion ``_diamond(s, t)``, which
 returns the dict {basis: int numerator} of s*t; ``one``; ``_prefix(w)``, the
-basis map of P_w; and ``_grade`` together with ``_d_alg``, which fix what a
-numerator means.  ``_grade`` must be a staticmethod, never a plain
-method: a lift is matched by the identity of its grade function, so every
-access has to return the same object, not a new bound method.
+basis map of P_w and the map of its kernel keys (None when those are the
+basis elements); and ``_grade`` together with ``_d_alg``, which fix what a
+numerator means.  ``_grade`` must give the same object on every access, a
+staticmethod or a function stored on the instance, never a plain method: a
+lift is matched by the identity of its grade function, not a new bound
+method each time.
 
 Exact rationals come back only at the boundary.  ``diamond_basis`` returns
 the canonical FormalSum of a basis pair, cached per pair, and ``product``
@@ -20,13 +22,16 @@ used again as an operand, passed through ``p_op``, or compared with
 another product of the same lift key, stays in ints and builds no terms.
 When D = D_A = 1 and the operands are integral, the numerators are the
 coefficients, and ``_sum`` wraps the dict without a copy, for trees.  A
-subclass whose kernel keys its numerators by plain values that compare
-like its basis elements (words: exact tuples, see :class:`WordAlgebra`)
-sets ``_wrap``, a staticmethod that maps those keys, in order, to basis
-elements; every formal sum is then keyed by its result, and only the lift
-keeps the kernel's keys.  ``product`` of two single terms whose
-coefficients multiply to 1 returns the cached sum itself; formal sums are
-immutable, so callers cannot change it.
+subclass whose kernel keys its numerators by something other than its
+basis elements (words: int codes, see :class:`WordAlgebra`) sets
+``_encode``, which maps one basis element to its kernel key where a built
+operand enters the kernel, and ``_wrap``, which maps kernel keys, in order,
+to basis elements where a sum builds its terms.  Every formal sum is keyed
+by basis elements; every lift, including those ``p_op`` makes, by kernel
+keys.  Neither function may refer to the algebra, since sums keep them.
+``product`` of two single terms whose coefficients multiply to 1 returns
+the cached sum itself; formal sums are immutable, so callers cannot change
+it.
 """
 
 from __future__ import annotations
@@ -48,9 +53,11 @@ class FreeAlgebra:
     kind = ""
     # D_A, the common denominator of the structure constants in the kernel
     _d_alg = 1
-    # None, or a staticmethod that maps the kernel's keys, in order, to
-    # the basis elements of the formal sums
+    # None, or a function that maps the kernel's keys, in order, to the
+    # basis elements of the formal sums, and one that maps a basis element
+    # to its kernel key; both None when the kernel keys by basis elements
     _wrap = None
+    _encode = None
 
     def __init__(self, omega: OmegaStructure):
         if not omega.weight_zero and not omega.has_strict_weight:
@@ -89,7 +96,7 @@ class FreeAlgebra:
             x = FormalSum.term(x)
         if not 0 <= w < self.omega.size:
             raise StructureError(f"type index {w} outside carrier")
-        return graded_relabel(x, self._prefix(w))
+        return graded_relabel(x, *self._prefix(w))
 
     def product(self, u, v) -> FormalSum:
         """The bilinear extension of the kernel.  Each operand is lifted to
@@ -111,15 +118,17 @@ class FreeAlgebra:
         if not (u._lift[1] if ut is None else ut) or not (v._lift[1] if vt is None else vt):
             return FormalSum._raw({})
         d = self._d
-        # the common integral case inline, the rest through _operand
+        enc = self._encode
+        # the common integral case inline, the rest through _operand; a
+        # built operand's basis elements become kernel keys here, once
         if d == 1 and ut is not None and Fraction not in map(type, ut.values()):
-            ux, tx, us = 1, 0, ut.items()
+            ux, tx, us = 1, 0, ut.items() if enc is None else zip(map(enc, ut), ut.values())
         else:
-            ux, tx, us = _operand(u, self._grade, d, self._d_alg)
+            ux, tx, us = _operand(u, self._grade, d, self._d_alg, enc)
         if d == 1 and vt is not None and Fraction not in map(type, vt.values()):
-            uy, ty, vs = 1, 0, vt.items()
+            uy, ty, vs = 1, 0, vt.items() if enc is None else list(zip(map(enc, vt), vt.values()))
         else:
-            uy, ty, vs = _operand(v, self._grade, d, self._d_alg)
+            uy, ty, vs = _operand(v, self._grade, d, self._d_alg, enc)
         kernel = self._diamond
         acc: dict = {}
         get = acc.get
@@ -137,7 +146,9 @@ class FreeAlgebra:
         key = (s, t)
         hit = self._cache.get(key)
         if hit is None:
-            grade = self._grade
+            grade, enc = self._grade, self._encode
+            if enc is not None:
+                s, t = enc(s), enc(t)
             hit = self._cache[key] = self._sum(self._diamond(s, t), grade(s) + grade(t))
         return hit
 

@@ -1108,13 +1108,18 @@ def _fmt_sum(cell: FormalSum) -> str:
     return "{" + ",".join(f"{b}:{c}" for b, c in cell) + "}"
 
 
+# A label: one or more characters, none of them whitespace or a character
+# the readers split records, values and label lists on.  Expressions read a
+# type label after '[' by the same pattern (see :func:`expr.tokenize`).
+LABEL = re.compile(r"[^\s,\[\]{}#;=]+")
+
+
 def _check_labels(labels, where: str = "") -> None:
-    """Refuse, naming it, a label that a file could not read back: the
-    readers split records, values and label lists on whitespace and on
-    these characters.  The readers refuse one too, with ``where`` naming
-    its line."""
+    """Refuse, naming it, a label that a file could not read back (see
+    ``LABEL``).  The readers refuse one too, with ``where`` naming its
+    line."""
     for label in labels:
-        if label.split() != [label] or any(ch in label for ch in ",[]{}#;="):
+        if not LABEL.fullmatch(label):
             raise StructureError(
                 f"{where}label {label!r} cannot be written: a label needs at least one "
                 "character and none of whitespace , [ ] { } # ; ="

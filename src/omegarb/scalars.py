@@ -31,6 +31,11 @@ with the same key compare their int numerator dicts, with no Fraction.
 :func:`graded_relabel` (grafting a tree, prefixing a word) carries a lift
 over.  Every other operation returns a sum without one.
 
+A lift may key its numerators by the kernel's own keys (word codes) rather
+than basis elements; its key map ``wrap`` turns them into basis elements,
+and the grade function in its key says how to read them, so two lifts
+with one key hold keys of one meaning.
+
 A lifted sum builds its coefficients only when they are read.
 :func:`graded_sum` stores the lift and the key map ``wrap``, nothing more;
 the first read of ``_terms`` divides once per term and keeps the dict.
@@ -103,9 +108,9 @@ class FormalSum:
     the canonical coefficient dict that every reader sees; it is built from
     the lift on first read, and kept in ``_built`` (None until then).
     ``_lift`` is the graded lift a product left on its output (see the
-    module docstring), or None, and ``_wrap`` the key map of an unbuilt
-    lift; equality of two sums whose lifts have the same key compares their
-    int numerators, and otherwise their terms.
+    module docstring), or None, and ``_wrap`` the key map of a lift (unset
+    on a sum made without one); equality of two sums whose lifts have the
+    same key compares their int numerators, and otherwise their terms.
     """
 
     __slots__ = ("_built", "_lift", "_wrap")
@@ -145,7 +150,8 @@ class FormalSum:
 
     @classmethod
     def _lazy(cls, lift: tuple, wrap: Callable | None) -> "FormalSum":
-        # internal: a lifted sum whose terms are built on first read
+        # internal: a lifted sum whose terms are built on first read, unless
+        # the caller sets _built
         out = cls.__new__(cls)
         out._built = None
         out._lift = lift
@@ -285,26 +291,29 @@ def graded_sum(num: dict, top: int, grade: Callable, d: int = 1, d_alg: int = 1,
 def _coefficients(lift: tuple, wrap: Callable | None) -> dict:
     """The canonical terms a lift stands for, one exact division per term."""
     (grade, d, d_alg, base, top), num = lift
-    if d == 1:
-        values = [quotient(n, base * d_alg ** (grade(b) + 1)) for b, n in num.items()]
-    else:
-        # the denominator of each grade, indexed by top - grade
-        dens = [base * d_alg ** (top - k + 1) * d ** k for k in range(top + 1)]
-        values = [
-            Fraction(n, den) if n % (den := dens[top - grade(b)]) else n // den
-            for b, n in num.items()
-        ]
+    # the denominator of each grade met, made at its first term: a long
+    # word's one-term sum must not pay for every grade below its own
+    dens: dict = {}
+    get, put = dens.get, dens.setdefault
+    scale = d != 1
+    values = [
+        Fraction(n, den)
+        if n % (den := get(g) or put(g, base * d_alg ** (g + 1) * (d ** (top - g) if scale else 1)))
+        else n // den
+        for n, g in zip(num.values(), map(grade, num))
+    ]
     return dict(zip(num if wrap is None else wrap(num), values))
 
 
-def graded_relabel(s: FormalSum, fn: Callable) -> FormalSum:
+def graded_relabel(s: FormalSum, fn: Callable, key_fn: Callable | None = None) -> FormalSum:
     """``s`` with each basis element b relabelled ``fn(b)``, for an injective
     ``fn`` that adds exactly one to the grade: grafting a tree on a new root,
     prefixing a word.  No two terms meet, so the coefficients carry over
     unchanged, and so does a lift, with top one higher (when D > 1) and one
-    more factor D_A in each numerator.  A sum whose terms are not built has
-    only its lift relabelled: ``fn`` also takes the kernel's keys and
-    returns basis elements."""
+    more factor D_A in each numerator.  ``key_fn`` relabels the lift's keys
+    the same way when they are the kernel's own (word codes), not basis
+    elements; without it ``fn`` relabels both.  A sum whose terms are not
+    built has only its lift relabelled, and keeps its key map ``_wrap``."""
     lift = s._lift
     if lift is None:
         return FormalSum._raw({fn(b): c for b, c in s._terms.items()})
@@ -312,14 +321,19 @@ def graded_relabel(s: FormalSum, fn: Callable) -> FormalSum:
     key = (grade, d, d_alg, base, top + 1 if d != 1 else 0)
     terms = s._built
     if terms is None:
-        return FormalSum._lazy((key, {fn(b): n * d_alg for b, n in num.items()}), None)
+        relabel = fn if key_fn is None else key_fn
+        return FormalSum._lazy((key, {relabel(b): n * d_alg for b, n in num.items()}), s._wrap)
     out: dict = {}
     lifted: dict = {}
-    for b, c in terms.items():
+    # terms built from a lift, or carried over with it, run in the lift's
+    # order, so each term meets its numerator without a lookup
+    for (b, c), (k, n) in zip(terms.items(), num.items()):
         image = fn(b)
         out[image] = c
-        lifted[image] = num[b] * d_alg
-    return FormalSum._raw(out, (key, lifted))
+        lifted[image if key_fn is None else key_fn(k)] = n * d_alg
+    res = FormalSum._lazy((key, lifted), s._wrap)
+    res._built = out
+    return res
 
 
 def drop_zeros(acc: dict) -> dict:
@@ -329,12 +343,14 @@ def drop_zeros(acc: dict) -> dict:
     return acc
 
 
-def _operand(s: FormalSum, grade: Callable, d: int, d_alg: int):
+def _operand(s: FormalSum, grade: Callable, d: int, d_alg: int, encode: Callable | None = None):
     """(U, top, items) for one operand of ``FreeAlgebra.product``: the
     coefficient of b is ``n / (U * d**(top - grade(b)))`` for each (b, n) in
-    items.  A lift whose key matches the product's grade, d and d_alg gives
-    them as they are (with d_alg > 1 after moving its per-grade factors
-    D_A into U); any other operand goes through :func:`_numerators`."""
+    items, with b the kernel's key.  A lift whose key matches the product's
+    grade, d and d_alg gives them as they are (with d_alg > 1 after moving
+    its per-grade factors D_A into U); any other operand goes through
+    :func:`_numerators`, its basis elements mapped to the kernel's keys by
+    ``encode`` when that is given."""
     lift = s._lift
     if lift is not None:
         (g, ld, lda, base, top), num = lift
@@ -347,13 +363,16 @@ def _operand(s: FormalSum, grade: Callable, d: int, d_alg: int):
                 (b, n * d_alg ** (most - k)) for (b, n), k in zip(num.items(), grades)
             ]
     # no lift, or one of another key: the terms, built if need be
-    return _numerators(s._terms, grade, d)
+    return _numerators(s._terms, grade, d, encode)
 
 
-def _numerators(terms: dict, grade: Callable, d: int):
+def _numerators(terms: dict, grade: Callable, d: int, encode: Callable | None = None):
     """(U, top, items) for one operand: U is the least common denominator of
     its coefficients, top its highest grade (0 when d is 1), and items the
-    (basis, c * U * d**(top - grade(basis))) pairs, all ints."""
+    (key, c * U * d**(top - grade(key))) pairs, all ints, where key is the
+    basis element, or ``encode`` of it."""
+    if encode is not None:
+        terms = dict(zip(map(encode, terms), terms.values()))
     if len(terms) == 1:
         ((b, c),) = terms.items()
         return c.denominator, grade(b) if d != 1 else 0, [(b, c.numerator)]

@@ -274,7 +274,8 @@ class TreeAlgebra(FreeAlgebra):
         return FormalSum.term(_UNIT)
 
     def _prefix(self, w: int):
-        return partial(graft, w)
+        # the basis map of P_w; trees key the kernel by the trees themselves
+        return partial(graft, w), None
 
     def _diamond(self, t: Tree, u: Tree) -> dict:
         # the graded numerators of t*u: coefficient * D**(edges lost)

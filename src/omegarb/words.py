@@ -6,8 +6,8 @@ associativity, the unit law, and the commutativity flag are verified at
 construction.  A :class:`TypedWord` alternates basis indices of the algebra
 with type indices of the parameter structure; it is a ``tuple`` subclass
 holding that flat interleaving, so word keys hash and compare in C, and a
-word equals the plain tuple with the same contents.  The product's kernel
-works on those plain tuples, and formal sums hold TypedWords.
+word equals the plain tuple with the same contents.  Formal sums hold
+TypedWords; the product's kernel holds each word as one int code.
 Multilinearity in the algebra slots is resolved by expanding products over
 the basis, so word sums stay in canonical form.  :class:`WordAlgebra`
 implements the four-case inductive product, the prepend operators P_w, and
@@ -21,7 +21,7 @@ newlines or ``;``.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, count, repeat
+from itertools import chain, count
 from math import lcm
 
 from .expr import ExprError, ExprParser
@@ -132,9 +132,8 @@ class TypedWord(tuple):
     (odd positions).  ``entries`` and ``types`` are slices of it.  Hashing
     and equality are tuple's own, so dict lookups on word keys run in C.
     A word compares equal to, and hashes like, the plain tuple with the same
-    flat contents.  :class:`WordAlgebra` relies on it: its memo and lifts
-    hold plain tuples, and every formal sum it returns holds TypedWords, so
-    no formal sum mixes the two.
+    flat contents.  Every formal sum a :class:`WordAlgebra` returns holds
+    TypedWords; inside its product a word is an int code (``_coding``).
     """
 
     __slots__ = ()
@@ -210,6 +209,90 @@ def sum_in_sh_prime(s: FormalSum, ua: FiniteAlgebra) -> bool:
     return all(sh_prime_filter(w, ua) for w, _ in s)
 
 
+# ---------------------------------------------------------------------------
+# Words as int codes inside the kernel
+#
+# WordAlgebra's kernel holds each word as one int.  The symbols of the flat
+# word (a0, t1, a1, ..., tn, an) take b bits each, the first symbol in the
+# lowest bits, under one sentinel bit above the last.  With m = 2**b - 1
+# the first letter is ``c & m``, the type after it ``c >> b & m``, the tail
+# ``c >> 2b``, and prepending the letter k with the type w to the code r is
+# ``r << 2b | w << b | k``.  The grade (letters minus one) is read from
+# ``c.bit_length()``.  Codes of one width b mean the same words in every
+# algebra, so b names the grade function, and a lift's key, which holds
+# that function, says how to read its codes.
+
+
+# b -> (grade, encode, wrap), made once per width
+_CODINGS: dict = {}
+
+
+def _coding(b: int):
+    """The grade of a code, the code of one TypedWord, and the map from codes
+    to TypedWords (``FreeAlgebra._wrap``), for codes of b bits per symbol.
+
+    Up to b = 4 encoding and decoding go through digit strings, so each runs
+    in C whatever the word's length: base 2**b digits in, hex digits out
+    (octal for b = 3), each hex digit holding whole symbols.  Wider codes
+    use plain loops.  The grade and the wrap are found by name at module
+    level (see ``__getattr__``), since lifts hold them and may be pickled;
+    neither refers to an algebra, so a kept sum pins no memo."""
+    hit = _CODINGS.get(b)
+    if hit is not None:
+        return hit
+    span, mask = 2 * b, (1 << b) - 1
+
+    def grade(code: int) -> int:
+        return (code.bit_length() - 1 - b) // span
+
+    if b <= 4:
+        base = 1 << b
+        digits = bytes.maketrans(bytes(range(base)), b"0123456789abcdef"[:base])
+        spec, per = ("o", 1) if b == 3 else ("x", 4 // b)
+        symbols = {
+            format(v, spec): bytes(v >> i * b & mask for i in range(per))
+            for v in range(1 << b * per)
+        }
+
+        def encode(word) -> int:
+            return int(b"1" + bytes(word[::-1]).translate(digits), base)
+
+        def decode(code: int) -> TypedWord:
+            flat = b"".join(map(symbols.__getitem__, format(code, spec)[::-1]))
+            return tuple.__new__(TypedWord, flat[: (code.bit_length() - 1) // b])
+    else:
+        def encode(word) -> int:
+            code = 1
+            for x in reversed(word):
+                code = code << b | x
+            return code
+
+        def decode(code: int) -> TypedWord:
+            flat = []
+            while code > 1:
+                flat.append(code & mask)
+                code >>= b
+            return tuple.__new__(TypedWord, flat)
+
+    def wrap(codes):
+        return map(decode, codes)
+
+    grade.__name__ = grade.__qualname__ = f"_grade_w{b}"
+    wrap.__name__ = wrap.__qualname__ = f"_wrap_w{b}"
+    hit = _CODINGS[b] = (grade, encode, wrap)
+    return hit
+
+
+def __getattr__(name: str):
+    # the grade and wrap of one width by name: a pickled lift refers to them
+    # so, and an unpickling process may not have made them yet
+    kind, sep, width = name.rpartition("_w")
+    if sep and kind in ("_grade", "_wrap") and width.isdecimal() and int(width) > 0:
+        grade, _, wrap = _coding(int(width))
+        return grade if kind == "_grade" else wrap
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class WordAlgebra(FreeAlgebra):
     """Typed words over a unital algebra, with the inductive product.
 
@@ -229,16 +312,18 @@ class WordAlgebra(FreeAlgebra):
     memoized entries R, with P_w(ta) spelt as the prefixed word itself: every
     final word k (x)_w r goes straight into one dict, with its numerator
     multiplied by the int c_k * D_A, and by the int lambda * D in the
-    weight term.  No Fraction arithmetic happens inside.  Words are flat
-    tuples, so the kernel reads first letters and types by index and builds
-    each word k (x)_w r with one concatenation, ``(k, w) + r``.
+    weight term.  No Fraction arithmetic happens inside.
 
-    The kernel's words, the memo's keys and values, and so the lifts that
-    share them, are exact tuples, not TypedWords: CPython's cyclic GC stops
-    tracking an exact tuple of ints after one collection, but never a tuple
-    subclass, which every later full collection would walk again.  ``_wrap``
-    makes the TypedWord keys in one pass where a formal sum is built, so
-    every sum the algebra returns holds TypedWords.
+    The kernel holds every word as an int code (see ``_coding``): the
+    memo's keys and values, the lifts that share them, and the lifts that
+    ``p_op`` makes.  A code hashes and compares as one int, the kernel reads
+    first letters and types with a mask and a shift and writes k (x)_w r
+    with one shift and one or, and the cyclic GC never tracks an int.  A
+    built operand is encoded once where it enters the kernel, and ``_wrap``
+    decodes each code to a TypedWord once, where a formal sum builds its
+    terms, so every sum the algebra returns holds TypedWords.  A lift's key
+    names the code width through its grade function, so two lifts of one
+    key hold codes of one meaning.
     """
 
     kind = "word"
@@ -266,11 +351,11 @@ class WordAlgebra(FreeAlgebra):
             )
             for row in algebra.mult
         )
-
-    @staticmethod
-    def _grade(w: TypedWord) -> int:
-        # the grade of the numerator memo: letters minus one
-        return len(w) // 2
+        # the code width (enough bits for every basis index and every type)
+        # and mask, and its grade (letters minus one), encoder and wrap
+        bits = self._bits = max((algebra.dim - 1).bit_length(), (omega.size - 1).bit_length(), 1)
+        self._mask = (1 << bits) - 1
+        self._grade, self._encode, self._wrap = _coding(bits)
 
     def one(self) -> FormalSum:
         return FormalSum.term(TypedWord((self.algebra.unit,), ()))
@@ -279,39 +364,40 @@ class WordAlgebra(FreeAlgebra):
         return FormalSum.term(TypedWord(entries, types))
 
     def _prefix(self, w: int):
+        # P_w on basis words, and on codes
         prefix = (self.algebra.unit, w)
-        return lambda word: tuple.__new__(TypedWord, prefix + word)
+        span, kw = 2 * self._bits, w << self._bits | self.algebra.unit
+        return (lambda word: tuple.__new__(TypedWord, prefix + word)), (lambda c: c << span | kw)
 
-    @staticmethod
-    def _wrap(words):
-        # the kernel's exact-tuple words as TypedWords, in one C-level pass
-        return map(tuple.__new__, repeat(TypedWord), words)
-
-    def _diamond(self, a: tuple, b: tuple) -> dict:
+    def _diamond(self, a: int, b: int) -> dict:
         # the graded numerators of a*b: coefficient * D**(letters lost)
-        # * D_A**len(word), keyed by exact tuples
+        # * D_A**len(word), keyed by codes
         key = (a, b)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        head = self._heads[a[0]][b[0]]
+        bits, mask = self._bits, self._mask
+        head = self._heads[a & mask][b & mask]
+        span = 2 * bits
         if not head:
             # the first letters multiply to zero, and so does everything
             res = {}
-        elif len(a) == 1 or len(b) == 1:
-            # at most one factor goes on after its first letter
-            rest = (b if len(a) == 1 else a)[1:]
-            scale = self._d_alg ** (len(rest) // 2)
-            res = {(k,) + rest: hk * scale for k, hk in head}
+        elif a >> bits == 1 or b >> bits == 1:
+            # at most one factor goes on after its first letter, whose
+            # letters after the first each carry a factor D_A
+            rest = b if a >> bits == 1 else a
+            scale = self._d_alg ** ((rest.bit_length() - 1 - bits) // span)
+            rest = rest >> bits << bits
+            res = {rest | k: hk * scale for k, hk in head}
         else:
             e = self.algebra.unit
-            right, rhd, left, lhd, dot, lam = self._ops[a[1]][b[1]]
-            ta, tb = a[2:], b[2:]
+            right, rhd, left, lhd, dot, lam = self._ops[a >> bits & mask][b >> bits & mask]
+            ta, tb = a >> span, b >> span
             diamond = self._diamond
             # (type w, numerators of the words after it, int factor)
             parts = [
-                (right, diamond((e, rhd) + ta, tb), 1),
-                (left, diamond(ta, (e, lhd) + tb), 1),
+                (right, diamond(ta << span | rhd << bits | e, tb), 1),
+                (left, diamond(ta, tb << span | lhd << bits | e), 1),
             ]
             if lam:
                 # the weight term drops a letter: one grade up
@@ -321,14 +407,12 @@ class WordAlgebra(FreeAlgebra):
             for w, sub, factor in parts:
                 items = sub.items()
                 for k, hk in head:
-                    kw, f = (k, w), hk * factor
+                    kw, f = w << bits | k, hk * factor
                     for word, n in items:
-                        word = kw + word
+                        word = word << span | kw
                         acc[word] = get(word, 0) + f * n
             res = drop_zeros(acc) if 0 in acc.values() else acc
-        # a slice of a TypedWord is an exact tuple, and of a tuple the tuple
-        # itself: only a top-level call from a formal sum changes the key
-        self._memo[a[:], b[:]] = res
+        self._memo[key] = res
         return res
 
 

@@ -895,6 +895,30 @@ def test_numeric_type_labels_read_back_as_printed(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown type label '2' (at position 2)\n"
 
 
+def test_type_labels_a_file_accepts_read_back_as_printed(tmp_path, capsys):
+    # a label is any run a file reads as one (see omega.LABEL), so digits
+    # first or a '-' inside, which the expression tokens would split, still
+    # read back after '[' as the file wrote them
+    omega = tmp_path / "z2-labels.txt"
+    omega.write_text(STRUCTURE_TEXT.replace("labels = a b", "labels = 0a b-c"))
+    half = str(SAMPLES / "half_line.txt")
+    for argv, expr in (
+        (["product", "--omega", str(omega)],
+         "([0a](| x |)) * ([b-c](| x [ 0a ](|) x |)) + 2/3*([b-c](|))"),
+        (["words", "--omega", str(omega), "--algebra", half, "--unitize"],
+         "(x [0a] x) * (x [b-c] x) - 1 [b-c] x"),
+    ):
+        assert main(argv + ["--expr", expr]) == 0
+        printed = capsys.readouterr().out
+        assert "[0a]" in printed and "[b-c]" in printed
+        assert main(argv + ["--expr", printed.strip()]) == 0
+        assert capsys.readouterr().out == printed
+    assert main(["product", "--omega", str(omega), "--expr", "([0](|))"]) == 2
+    assert capsys.readouterr().err == "error: unknown type label '0' (at position 2)\n"
+    assert main(["product", "--omega", str(omega), "--expr", "([](|))"]) == 2
+    assert capsys.readouterr().err == "error: expected 'label', found ']' (at position 2)\n"
+
+
 # -- the benchmark's traced names ---------------------------------------------
 
 def test_the_benchmark_tracer_installs_and_restores_every_traced_name():

@@ -185,11 +185,12 @@ def test_operations_agree_with_a_fraction_reference(x, y, c):
 
 
 def lift_terms(x):
-    """The coefficients a sum's lift stands for, worked out with Fractions."""
+    """The coefficients a sum's lift stands for, worked out with Fractions,
+    each keyed by the basis element the sum's ``_wrap`` decodes its key to."""
     (grade, d, d_alg, base, top), num = x._lift
     out = {}
-    for b, n in num.items():
-        g = grade(b)
+    for b, (k, n) in zip(num if x._wrap is None else x._wrap(num), num.items()):
+        g = grade(k)
         out[b] = Fraction(n, base * (d ** (top - g) if d != 1 else 1) * d_alg ** (g + 1))
     return out
 

@@ -1,7 +1,9 @@
 import copy
 import gc
+import os
 import pickle
 import random
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -11,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from omegarb.omega import OpTable, StructureError, example_semigroup
-from omegarb import scalars
-from omegarb.scalars import FormalSum
+from omegarb import scalars, words
+from omegarb.scalars import FormalSum, graded_sum
 from omegarb.tables import lets_row, op, strict_commutative_instances
 from omegarb.words import (
     FiniteAlgebra,
@@ -32,6 +34,7 @@ from omegarb.words import (
 from test_omega import unwritable
 from test_scalars import assert_lift_exact
 
+ROOT = Path(__file__).resolve().parent.parent
 XOR = OpTable(((0, 1), (1, 0)))
 fs = FormalSum.term
 
@@ -320,6 +323,29 @@ def test_word_evaluate_folds_a_long_word_without_recursing():
     assert got == fs(TypedWord(entries, types))
 
 
+def test_a_101_letter_word_product_fits_in_256_mb_of_address_space():
+    # a words request of 101 letters times 3 letters, in a child process
+    # that caps its own address space; with the kernel's words as tuples the
+    # memo alone held about 500 MB here, as int codes it peaks under 100 MB
+    child = (
+        "import resource, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, hard))\n"
+        "from omegarb.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    expr = " ".join(["1"] + ["[a] x"] * 100) + " * 1 [a] x [b] 1"
+    samples = ROOT / "sample_inputs"
+    argv = ["words", "--omega", str(samples / "family_z2.txt"),
+            "--algebra", str(samples / "truncated_poly.txt"), "--expr", expr]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", child, *argv], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300, check=False)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-2000:]
+    out = proc.stdout
+    assert out.count(" + ") + out.count(" - ") + 1 == 10201
+
+
 def test_word_evaluate_rejects_non_morphism():
     s = family_structure()
     A = truncated_poly()
@@ -553,7 +579,7 @@ def test_zero_head_pair_leaves_one_memo_entry():
     before = len(W._memo)
     assert W.product(fs(a), fs(b)).is_zero()
     assert len(W._memo) == before + 1
-    assert W._memo[(a, b)] == {}
+    assert W._memo[(W._encode(a), W._encode(b))] == {}
 
 
 def square_line(c):
@@ -598,7 +624,7 @@ def test_mixed_denominators_match_composed_recursion(lam, weight_zero, c, u, v, 
 def test_integral_data_share_the_memo_dict():
     a, b = TypedWord((1, 0), (0,)), TypedWord((0, 1, 1), (1, 0))
     W = WordAlgebra(family_structure(Fraction(2)), truncated_poly())
-    # the memo keys its words by exact tuples, so the sum holds a TypedWord copy
+    # the memo keys its words by codes, so the sum holds a decoded copy
     got = W.diamond_basis(a, b)
     assert got == ComposedWordAlgebra(W.omega, W.algebra).diamond_basis(a, b)
     assert all(type(w) is TypedWord for w in got._terms)
@@ -606,8 +632,9 @@ def test_integral_data_share_the_memo_dict():
                  (family_structure(Fraction(1)), square_line(Fraction(1, 2)))):
         W = WordAlgebra(s, A)
         got = W.diamond_basis(a, b)
-        assert got._terms is not W._memo[(a, b)]
-        assert got._lift[1] is W._memo[(a, b)]
+        memo = W._memo[(W._encode(a), W._encode(b))]
+        assert got._terms is not memo
+        assert got._lift[1] is memo
         assert got == ComposedWordAlgebra(s, A).diamond_basis(a, b)
 
 
@@ -655,6 +682,46 @@ def test_typed_word_pickles_and_copies():
     assert pickle.loads(pickle.dumps(s)) == s
 
 
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 5, 6])
+def test_word_codes_round_trip_at_every_width(b):
+    grade, encode, wrap = words._coding(b)
+    assert words._coding(b)[0] is grade
+    rng = random.Random(b)
+    top = (1 << b) - 1
+    pool = [TypedWord([rng.randint(0, top) for _ in range(n)],
+                      [rng.randint(0, top) for _ in range(n - 1)])
+            for n in [1, 1, 2, 3, 5, 40, 1500] for _ in range(3)]
+    pool += [TypedWord((0,), ()), TypedWord((top,), ()), TypedWord((0,) * 9, (0,) * 8)]
+    codes = [encode(w) for w in pool]
+    decoded = list(wrap(codes))
+    assert decoded == pool and all(type(w) is TypedWord for w in decoded)
+    for w, c in zip(pool, codes):
+        # the layout: first letter, its type, tail, prepending, grade
+        mask = (1 << b) - 1
+        assert c >> (b * len(w)) == 1 and grade(c) == word_length(w) - 1
+        assert c & mask == w[0]
+        if len(w) > 1:
+            assert c >> b & mask == w[1] and c >> 2 * b == encode(w[2:])
+        assert c << 2 * b | 1 << b | top == encode((top, 1) + w)
+    # the grade and the wrap pickle by name, as the same objects
+    for fn in (grade, wrap):
+        assert pickle.loads(pickle.dumps(fn)) is fn
+
+
+def test_an_unbuilt_word_sum_unpickles_in_a_fresh_process():
+    # width 7 is made by no import: the child finds its grade and wrap by name
+    grade, encode, wrap = words._coding(7)
+    w = TypedWord((5, 100, 2), (127, 0))
+    x = graded_sum({encode(w): 3}, 0, grade, 1, 1, 2, wrap)
+    child = ("import pickle, sys\n"
+             "x = pickle.loads(sys.stdin.buffer.read())\n"
+             "print(x._built is None, x._lift[0][0].__name__, repr(x))\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", child], input=pickle.dumps(x), capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60, check=True)
+    assert proc.stdout.decode().split(" ", 2) == ["True", "_grade_w7", repr(x) + "\n"]
+
+
 def test_kernel_words_equal_public_words():
     W = WordAlgebra(family_structure(Fraction(1, 2)), truncated_poly())
     a, b = TypedWord((1, 0, 1), (0, 1)), TypedWord((0, 1, 0), (1, 0))
@@ -667,7 +734,7 @@ def test_kernel_words_equal_public_words():
 
 
 @pytest.mark.parametrize("lam", [Fraction(1), Fraction(1, 2)])
-def test_kernel_keeps_exact_tuples_and_sums_hold_typed_words(lam):
+def test_kernel_keeps_int_codes_and_sums_hold_typed_words(lam):
     W = WordAlgebra(family_structure(lam), truncated_poly())
     pool = all_words(2, 2, 3)
     outputs = []
@@ -678,13 +745,14 @@ def test_kernel_keeps_exact_tuples_and_sums_hold_typed_words(lam):
         outputs.append(W.p_op(1, fs(a)))
         outputs.append(W.p_op(0, outputs[-2]))
     for a, b in W._memo:
-        assert type(a) is tuple and type(b) is tuple
+        assert type(a) is int and type(b) is int
     for res in W._memo.values():
-        assert all(type(w) is tuple for w in res)
+        assert all(type(w) is int for w in res)
     for out in outputs:
         assert all(type(w) is TypedWord for w in out._terms)
-    # exact tuples of ints leave the cyclic GC's lists; a tuple subclass never does
-    gc.collect()
+        if out._lift is not None:
+            assert all(type(w) is int for w in out._lift[1])
+    # the cyclic GC never tracks an int, so the memo's words cost it nothing
     sample = [w for res in list(W._memo.values())[::5] for w in res]
     assert sample and not any(gc.is_tracked(w) for w in sample)
 
@@ -734,15 +802,54 @@ def test_arithmetic_and_p_op_leave_a_lifted_word_product_unchanged(c):
     _ = [x + other, other + x, x - other, -x, x.scale(Fraction(3, 2))]
     up = W.p_op(1, x)
     assert x._terms == terms and x._lift[0] == key and x._lift[1] is num and num == numbers
-    # prefixing keeps the lift one grade up, with one more factor D_A
+    # prefixing keeps the lift one grade up, with one more factor D_A, and
+    # its codes decode to the prefixed words
     assert up._lift[0] == key[:4] + (key[4] + 1,)
-    assert up._lift[1] == {(0, 1) + w: n * W._d_alg for w, n in num.items()}
+    assert dict(zip(up._wrap(up._lift[1]), up._lift[1].values())) == {
+        (0, 1) + w: n * W._d_alg for w, n in zip(x._wrap(num), num.values())
+    }
     assert_lift_exact(up)
     plain = W.p_op(1, FormalSum(x.items()))
     assert plain._lift is None and up == plain and hash(up) == hash(plain)
     ref = ComposedWordAlgebra(W.omega, A)
     assert W.product(up, x) == ref.product(plain, x)
     assert W.product(x, up) == ref.product(x, plain)
+
+
+def test_equal_word_sums_built_by_two_routes_compare_equal():
+    # an unbuilt lift relabelled by p_op, and built terms relabelled with
+    # their lift, over algebras with codes of 1 and of 2 bits per symbol
+    u = fs(TypedWord((1, 0), (0,)), Fraction(2, 3)) + fs(TypedWord((1,), ()))
+    v = fs(TypedWord((0, 1, 1), (1, 0))) + fs(TypedWord((1, 1), (1,)), -2)
+    for A, bits in ((truncated_poly(), 1), (unitize(truncated_poly()), 2)):
+        W = WordAlgebra(family_structure(Fraction(2, 3)), A)
+        assert W._bits == bits
+        unbuilt = W.p_op(1, W.product(u, v))
+        source = W.product(u, v)
+        assert source._terms
+        built = W.p_op(1, source)
+        assert unbuilt._built is None and built._built is not None
+        assert unbuilt._lift[0] == built._lift[0] and unbuilt._lift[1] == built._lift[1]
+        assert unbuilt == built and built == unbuilt and unbuilt._built is None
+        plain = FormalSum(built.items())
+        assert unbuilt == plain and plain == built and hash(unbuilt) == hash(plain)
+        assert_lift_exact(unbuilt)
+        assert_lift_exact(built)
+    # one sum as lifts at widths 1 and 2: other codes, other grade functions,
+    # so the two compare by their terms
+    ws = (TypedWord((1, 0), (0,)), TypedWord((0, 1, 1), (1, 0)))
+    lifts = []
+    for b in (1, 2):
+        grade, encode, wrap = words._coding(b)
+        lifts.append(graded_sum({encode(w): n for w, n in zip(ws, (3, -4))}, 2, grade, 3, 1, 2,
+                                wrap))
+    narrow, wide = lifts
+    assert narrow._lift[1] != wide._lift[1] and narrow._lift[0][0] is not wide._lift[0][0]
+    assert narrow == wide and wide == narrow
+    assert narrow._terms == wide._terms == {ws[0]: Fraction(1, 2), ws[1]: -2}
+    # the narrow codes read at the wide width are other words
+    misread = graded_sum(dict(narrow._lift[1]), 2, wide._lift[0][0], 3, 1, 2, wide._wrap)
+    assert misread != narrow
 
 
 # four factors of length 3 make words of up to 12 letters, too many for the

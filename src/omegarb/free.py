@@ -29,6 +29,9 @@ operand enters the kernel, and ``_wrap``, which maps kernel keys, in order,
 to basis elements where a sum builds its terms.  Every formal sum is keyed
 by basis elements; every lift, including those ``p_op`` makes, by kernel
 keys.  Neither function may refer to the algebra, since sums keep them.
+``p_op`` maps a lift's kernel keys only when its grade function is the
+algebra's own; a lift whose keys mean something else (word codes of
+another width) is relabelled by its terms, and the result has no lift.
 ``product`` of two single terms whose coefficients multiply to 1 returns
 the cached sum itself; formal sums are immutable, so callers cannot change
 it.
@@ -96,7 +99,13 @@ class FreeAlgebra:
             x = FormalSum.term(x)
         if not 0 <= w < self.omega.size:
             raise StructureError(f"type index {w} outside carrier")
-        return graded_relabel(x, *self._prefix(w))
+        fn, key_fn = self._prefix(w)
+        lift = x._lift
+        if key_fn is not None and lift is not None and lift[0][0] is not self._grade:
+            # a lift of another code width: its codes name other words here,
+            # so relabel the terms and drop the lift
+            x = FormalSum._raw(x._terms)
+        return graded_relabel(x, fn, key_fn)
 
     def product(self, u, v) -> FormalSum:
         """The bilinear extension of the kernel.  Each operand is lifted to

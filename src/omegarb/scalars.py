@@ -140,18 +140,20 @@ class FormalSum:
         return cls._raw(accumulate({}, ((basis, Fraction(coeff)),)))
 
     @classmethod
-    def _raw(cls, terms: dict, lift: tuple | None = None) -> "FormalSum":
+    def _raw(cls, terms: dict) -> "FormalSum":
         # internal: terms must already be canonical (no zeros, integral as
-        # int), and a lift must give exactly these terms
+        # int); the sum has no lift
         out = cls.__new__(cls)
         out._built = terms
-        out._lift = lift
+        out._lift = None
         return out
 
     @classmethod
     def _lazy(cls, lift: tuple, wrap: Callable | None) -> "FormalSum":
         # internal: a lifted sum whose terms are built on first read, unless
-        # the caller sets _built
+        # the caller sets _built; the only constructor that makes a lift.
+        # Built terms must run in the lift's order, one term per entry, as
+        # _coefficients makes them: graded_relabel pairs the two by position
         out = cls.__new__(cls)
         out._built = None
         out._lift = lift
@@ -312,7 +314,8 @@ def graded_relabel(s: FormalSum, fn: Callable, key_fn: Callable | None = None) -
     unchanged, and so does a lift, with top one higher (when D > 1) and one
     more factor D_A in each numerator.  ``key_fn`` relabels the lift's keys
     the same way when they are the kernel's own (word codes), not basis
-    elements; without it ``fn`` relabels both.  A sum whose terms are not
+    elements, and must be made for the codes of this lift's key (see
+    ``FreeAlgebra.p_op``); without it ``fn`` relabels both.  A sum whose terms are not
     built has only its lift relabelled, and keeps its key map ``_wrap``."""
     lift = s._lift
     if lift is None:

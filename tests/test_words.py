@@ -852,6 +852,33 @@ def test_equal_word_sums_built_by_two_routes_compare_equal():
     assert misread != narrow
 
 
+def test_p_op_relabels_a_lift_of_another_code_width_by_its_terms():
+    # a product at 1 bit per symbol, unbuilt and built, prefixed by an
+    # algebra at 2 bits: the result is P_w of its terms, and its lift, if
+    # any, is one the wide algebra can read
+    s = family_structure(Fraction(2, 3))
+    narrow, wide = WordAlgebra(s, truncated_poly()), WordAlgebra(s, unitize(truncated_poly()))
+    assert (narrow._bits, wide._bits) == (1, 2)
+    u = fs(TypedWord((1, 0), (0,)), Fraction(2, 3)) + fs(TypedWord((1,), ()))
+    v = fs(TypedWord((0, 1, 1), (1, 0))) + fs(TypedWord((1, 1), (1,)), -2)
+    plain = FormalSum(narrow.product(u, v).items())
+    for build in (False, True):
+        for w in (0, 1):
+            x = narrow.product(u, v)
+            assert x._lift is not None and x._lift[0][0] is narrow._grade
+            if build:
+                assert x._terms
+            assert (x._built is None) is not build
+            out = wide.p_op(w, x)
+            expected = wide.p_op(w, plain)
+            assert out._terms == expected._terms
+            assert out == expected and expected == out
+            assert out._lift is None or out._lift[0][0] is wide._grade
+            # used again in the wide algebra, it gives what its terms give
+            assert wide.product(out, v) == wide.product(expected, v)
+            assert x == plain
+
+
 # four factors of length 3 make words of up to 12 letters, too many for the
 # reference; factors of up to 2 letters keep each example fast
 chain_sums = st.lists(

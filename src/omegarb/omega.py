@@ -38,7 +38,7 @@ from functools import lru_cache
 from itertools import compress, count, product, repeat
 from operator import add, itemgetter, mul, ne
 
-from .scalars import FormalSum, accumulate, parse_scalar, quotient
+from .scalars import FormalSum, Scalar, accumulate, parse_scalar
 
 __all__ = [
     "OpTable",
@@ -85,6 +85,19 @@ def _table_entry(v) -> int:
     if iv != v:
         raise StructureError(f"table entry {v} is not an integer")
     return iv
+
+
+def _weight_entry(v, i: int, j: int) -> Scalar:
+    """lambda[i][j] in canonical form: an ``int`` when integral, else a
+    ``Fraction``.  Anything but an int or a Fraction (a float, a string, a
+    bool) is refused here, before a checker or a product meets it."""
+    if type(v) is Fraction:
+        return v.numerator if v.denominator == 1 else v
+    if type(v) is not int:
+        raise StructureError(
+            f"lambda[{i}][{j}] must be an int or a Fraction, got {v!r} ({type(v).__name__})"
+        )
+    return v
 
 
 class OpTable:
@@ -177,6 +190,11 @@ class OmegaStructure:
     materializing a table, whatever weight data is also present.  A structure
     file may not set both ``psi`` and ``weight_zero``.
     ``star`` is only used by the ETS-level checkers.
+
+    ``lam`` is stored canonical, however it was passed: a tuple of row
+    tuples, each entry an ``int`` when integral and a ``Fraction`` otherwise,
+    so the checkers and products compare and multiply ints on integral
+    weights.  An entry that is not an int or a Fraction is refused.
     """
 
     size: int
@@ -208,6 +226,10 @@ class OmegaStructure:
                 raise StructureError("strict (dot, lambda) and generalized psi are exclusive")
             if len(self.lam) != n or any(len(row) != n for row in self.lam):
                 raise StructureError("lambda table has wrong shape")
+            object.__setattr__(self, "lam", tuple(
+                tuple(_weight_entry(v, i, j) for j, v in enumerate(row))
+                for i, row in enumerate(self.lam)
+            ))
         if self.psi is not None:
             if len(self.psi) != n or any(len(row) != n for row in self.psi):
                 raise StructureError("psi table has wrong shape")
@@ -227,9 +249,11 @@ class OmegaStructure:
     def has_weight(self) -> bool:
         return self.has_strict_weight or self.psi is not None or self.weight_zero
 
-    def lam_at(self, i: int, j: int) -> Fraction:
+    def lam_at(self, i: int, j: int) -> Scalar:
+        """The weight lambda(i, j) as stored (an int when integral); 0 in
+        weight-0 mode."""
         if self.weight_zero:
-            return Fraction(0)
+            return 0
         if self.lam is None:
             raise StructureError("structure has no strict lambda table")
         return self.lam[i][j]
@@ -243,8 +267,7 @@ class OmegaStructure:
             return self.psi[i][j]
         if self.has_strict_weight:
             lam = self.lam[i][j]
-            return FormalSum._raw({self.dot(i, j): quotient(lam.numerator, lam.denominator)}
-                                  if lam else {})
+            return FormalSum._raw({self.dot(i, j): lam} if lam else {})
         raise StructureError("structure has no weight data")
 
 

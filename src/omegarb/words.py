@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import chain, count
 from math import lcm
 
-from .expr import ExprError, ExprParser
+from .expr import ExprError, ExprParser, tokenize
 from .free import FreeAlgebra
 from .omega import OmegaStructure, StructureError, read_fields
 from .omega import _as_flag, _as_matrix, _as_sum_cell, _check_labels, _fmt_rows, _fmt_sum
@@ -481,12 +481,39 @@ def parse_algebra(text: str) -> FiniteAlgebra:
         raise StructureError(f"line {fields[key][0]}: unknown key {key!r}")
     mult = _as_matrix(raw_mult, "mult", lambda v: _as_sum_cell(v, "mult"))
     a = FiniteAlgebra(labels, mult, unit=unit, commutative=commutative)
-    _check_labels(a.labels, f"line {basis_line}: ")
+    _check_basis_labels(a.labels, f"line {basis_line}: ")
     return a
 
 
+def _check_basis_labels(labels, where: str = "") -> None:
+    """Refuse, naming it, a basis label that a file could not write (see
+    ``omega.LABEL``) or that a word expression could not read back as the
+    entry ``words`` printed: one that is not a single name or number token,
+    or a number that is also a scalar a printed sum spells (a coefficient
+    such as 2 or 1/2, or 0 for the zero sum; 1 is never printed as a
+    coefficient)."""
+    _check_labels(labels, where)
+    for label in labels:
+        try:
+            kinds = [tok[0] for tok in tokenize(label)]
+        except ExprError:
+            kinds = []
+        if kinds == ["name", "end"]:
+            continue
+        if kinds != ["num", "end"]:
+            raise StructureError(
+                f"{where}basis label {label!r} cannot be read in a word expression: "
+                "a basis label is one name or one number"
+            )
+        if label != "1" and str(Fraction(label)) == label:
+            raise StructureError(
+                f"{where}basis label {label!r} is also the scalar {label}, so a printed "
+                "word sum would not read back"
+            )
+
+
 def serialize_algebra(a: FiniteAlgebra) -> str:
-    _check_labels(a.labels)
+    _check_basis_labels(a.labels)
     lines = ["basis = [" + ", ".join(a.labels) + "]"]
     if a.unit is not None:
         lines.append(f"unit = {a.labels[a.unit]}")

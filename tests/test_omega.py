@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import pointwise_oracle as oracle
 import structure_oracle
 
-from omegarb import omega as om
+from omegarb import classify, omega as om
 from omegarb.classify import associative_tables, enumerate_level
 from omegarb.omega import (
     OmegaStructure,
@@ -44,6 +44,7 @@ from omegarb.tables import (
     op,
     strict_commutative_instances,
 )
+from omegarb.trees import TreeAlgebra, all_trees
 from omegarb.words import FiniteAlgebra, serialize_algebra
 
 XOR = op("abba")
@@ -157,6 +158,117 @@ def test_lambda_rejects_generalized_psi():
 def test_lambda_requires_weight_data():
     with pytest.raises(StructureError):
         check_lambda_ets(struct("aaaa", "aaaa", "abab", "aabb"))
+
+
+# -- canonical weights -------------------------------------------------------
+
+
+def canonical(s):
+    """Every lambda entry an int, or a Fraction that is not integral."""
+    return type(s.lam) is tuple and all(
+        type(row) is tuple and all(
+            type(v) is int or type(v) is Fraction and v.denominator > 1 for v in row)
+        for row in s.lam)
+
+
+def built_structures(monkeypatch):
+    """(path, structure) from every path that builds a strict structure,
+    each fed integral Fraction weights where it takes weights."""
+    half, two = Fraction(1, 2), Fraction(4, 2)
+    lam = ((Fraction(1), half), (Fraction(0), -two))
+    base = struct("aabb", "abab", "abab", "aabb", dot="abba", lam=lam)
+    yield "constructor", base
+    yield "list rows", struct("aabb", "abab", "abab", "aabb", dot="abba",
+                              lam=[[two, 1], [Fraction(-2, 3), Fraction(0)]])
+    yield "replace", replace(base, lam=((two, two), (half, Fraction(3))))
+    yield "opposite", opposite(base)
+    yield "swap_conjugate", swap_conjugate(base, (1, 0))
+    ets = struct("aaaa", "aaaa", "aaaa", "aaaa", dot="aaaa", star="bbbb")
+    yield "ets_to_lambda_ets", ets_to_lambda_ets(ets, (half, Fraction(6, 3)))
+    yield "parse_structure", parse_structure(TABLES_TEXT + "dot = [[0,1],[1,0]]\n"
+                                             "lambda = [[1, 4/2], [1/2, 0]]\n")
+    yield "example_weight_zero", example_weight_zero(struct("aaaa", "aaaa", "abab", "aabb"))
+    yield "example_matching", example_matching([Fraction(1), half, two])
+    yield "example_semigroup", example_semigroup(XOR, Fraction(1))
+    yield "example_abelian_group", example_abelian_group(XOR, two)
+    for c in (Fraction(1), half):
+        for name, t in strict_commutative_instances(c):
+            yield f"strict_commutative_instances {name} at {c}", t
+    # classify: every structure lambda_constraint_probe checks
+    seen = []
+    monkeypatch.setattr(classify, "check_lambda_ets", lambda t: seen.append(t) or check_lambda_ets(t))
+    classify.lambda_constraint_probe(struct("aaaa", "aaaa", "abab", "aabb"), op("abba"),
+                                     samples=(Fraction(0), Fraction(1), half))
+    assert len(seen) == 81
+    for t in seen:
+        yield "lambda_constraint_probe", t
+
+
+def test_every_construction_path_stores_canonical_weights(monkeypatch):
+    paths = []
+    for path, s in built_structures(monkeypatch):
+        assert canonical(s), path
+        paths.append(path)
+    assert len(paths) == 11 + 28 + 81
+    # ints where integral, Fractions elsewhere, and equal to what came in
+    s = struct("aabb", "abab", "abab", "aabb", dot="abba",
+               lam=((Fraction(1), Fraction(1, 2)), (Fraction(0), Fraction(-4, 2))))
+    assert s.lam == ((1, Fraction(1, 2)), (0, -2))
+    assert [type(v) for row in s.lam for v in row] == [int, Fraction, int, int]
+    assert s.lam_at(0, 0) == 1 and type(s.lam_at(0, 0)) is int
+    zero = replace(s, weight_zero=True).lam_at(0, 1)
+    assert zero == 0 and type(zero) is int
+
+
+@pytest.mark.parametrize("entry", [0.5, 1.0, "1", "1/2", True, False, None, 1j])
+def test_a_weight_that_is_not_an_int_or_fraction_is_refused(entry):
+    for i, j in ((0, 0), (1, 0)):
+        lam = [[1, 0], [0, 0]]
+        lam[i][j] = entry
+        with pytest.raises(StructureError) as exc:
+            struct("aabb", "abab", "abab", "aabb", dot="abba", lam=lam)
+        assert str(exc.value).startswith(f"lambda[{i}][{j}] must be an int or a Fraction, got ")
+    # the float 0.5 used to pass check_lambda_ets and break TreeAlgebra later
+    s = example_semigroup(XOR, 1)
+    with pytest.raises(StructureError, match=r"^lambda\[1\]\[1\]"):
+        replace(s, lam=((1, 1), (1, entry)))
+
+
+def strict_two_element_structures(eds_reps):
+    """The 6,144 strict structures on two elements: an EDS representative,
+    any dot table and 0/1 weights, weights given as the Fractions."""
+    weights = list(product((Fraction(0), Fraction(1)), repeat=4))
+    for tabs in eds_reps:
+        for dot in ALL_TABLES:
+            for w in weights:
+                yield OmegaStructure(size=2, labels=("a", "b"), dot=dot,
+                                     lam=((w[0], w[1]), (w[2], w[3])),
+                                     **dict(zip(("left", "right", "lhd", "rhd"), map(OpTable, tabs))))
+
+
+def test_int_and_fraction_weights_give_identical_reports(eds_reps):
+    cases = list(strict_two_element_structures(eds_reps))
+    assert len(cases) == 6144
+    rng = random.Random(27)
+    for s in rng.sample(cases, 300):
+        ints = replace(s, lam=tuple(tuple(int(v) for v in row) for row in s.lam))
+        assert canonical(s) and s.lam == ints.lam
+        for check in (check_lambda_ets, check_maps_level):
+            assert outcome(check, s) == outcome(check, ints)
+
+
+def test_tree_products_agree_for_int_and_fraction_weights():
+    pool = all_trees(("x",), 2, max_leaves=2, max_depth=2)[:10]
+    for c in (1, 2, -1, 0):
+        as_fraction = example_semigroup(XOR, Fraction(c))
+        as_int = replace(as_fraction, lam=((c, c), (c, c)))
+        F, I = TreeAlgebra(as_fraction), TreeAlgebra(as_int)
+        for t in pool:
+            for u in pool:
+                x, y = FormalSum.term(t), FormalSum.term(u, Fraction(1, 2))
+                got = F.product(x, y)
+                assert got == I.product(x, y)
+                assert all(type(v) is int or v.denominator > 1 for v in got._terms.values())
 
 
 # -- ETS ---------------------------------------------------------------------

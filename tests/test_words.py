@@ -1,17 +1,21 @@
 import copy
 import gc
+import importlib.util
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from omegarb.expr import ExprError, tokenize
 from omegarb.omega import OpTable, StructureError, example_semigroup
 from omegarb import scalars, words
 from omegarb.scalars import FormalSum, graded_sum
@@ -444,14 +448,31 @@ def algebras(draw):
                          commutative=(commutative or n == 1) and draw(st.booleans()))
 
 
+def unreadable(label):
+    """Not one name or number token of a word expression, or a number other
+    than 1 that a printed word sum also spells as a scalar."""
+    try:
+        kinds = [tok[0] for tok in tokenize(label)]
+    except ExprError:
+        return True
+    if kinds == ["name", "end"]:
+        return False
+    return kinds != ["num", "end"] or (label != "1" and str(Fraction(label)) == label)
+
+
 @settings(max_examples=200, deadline=None)
 @given(algebras())
 def test_serialized_algebras_read_back_equal(a):
     bad = [label for label in a.labels if unwritable(label)]
+    unread = [label for label in a.labels if unreadable(label)]
     if bad:
         with pytest.raises(StructureError, match="cannot be written") as exc:
             serialize_algebra(a)
         assert repr(bad[0]) in str(exc.value)
+    elif unread:
+        with pytest.raises(StructureError, match="^basis label") as exc:
+            serialize_algebra(a)
+        assert repr(unread[0]) in str(exc.value)
     else:
         assert parse_algebra(serialize_algebra(a)) == a
 
@@ -619,6 +640,32 @@ def test_mixed_denominators_match_composed_recursion(lam, weight_zero, c, u, v, 
     for out in outputs:
         for coeff in out._terms.values():
             assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator > 1)
+
+
+@lru_cache(maxsize=None)
+def reference():
+    """perfbench/reference.py, the memo-free products written apart from
+    omegarb, loaded read-only from the file."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_reference", ROOT / "perfbench" / "reference.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+STRICT_COMMUTATIVE = {c: strict_commutative_instances(c) for c in (Fraction(1, 2), Fraction(2, 3))}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(STRICT_COMMUTATIVE)), st.integers(0, 13), algebras,
+       word_sums, word_sums, word_sums)
+def test_word_products_match_the_memo_free_reference(lam, index, c, u, v, w):
+    name, s = STRICT_COMMUTATIVE[lam][index]
+    A = truncated_poly() if c is None else square_line(c)
+    W, ref = WordAlgebra(s, A), reference()
+    uv = W.product(u, v)
+    assert uv == ref.word_product(s, A, u, v), name
+    assert W.product(uv, w) == ref.word_product(s, A, ref.word_product(s, A, u, v), w), name
 
 
 def test_integral_data_share_the_memo_dict():
@@ -915,3 +962,58 @@ def test_chained_word_products_match_composed_recursion(lam, weight_zero, c, sum
     for a in got:
         for b in got:
             assert (a == b) == (a._terms == b._terms)
+
+
+# -- basis labels that a word expression reads back ----------------------------
+
+
+def _poly_text(labels):
+    """truncated_poly.txt with these basis labels, the unit first."""
+    return (f"basis = [{', '.join(labels)}]\nunit = {labels[0]}\ncommutative = true\n"
+            "mult = [[{0:1},{1:1}],[{1:1},{}]]\n")
+
+
+def _reads_back(value, A, W):
+    text = word_sum_to_str(value, A, W.omega.labels)
+    try:
+        return parse_word_expr(text, A, W.omega.labels, W) == value
+    except ExprError:
+        return False
+
+
+_ENTRY_LABELS = st.sampled_from(
+    ["1", "x", "x_1", "_", "\u00e9", "01", "2/4", "\u0663", "0x", "a-b", "-", "0", "2", "1/2", "1/0"]
+) | st.text(max_size=3).filter(lambda label: not unwritable(label))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ENTRY_LABELS, min_size=2, max_size=2, unique=True), word_sums, word_sums)
+def test_words_prints_sums_that_read_back_for_every_basis_label_a_file_accepts(labels, u, v):
+    try:
+        A = parse_algebra(_poly_text(labels))
+    except StructureError as exc:
+        # refused: one line naming the first label an expression cannot read back
+        assert unreadable(labels[0]) or unreadable(labels[1])
+        first = labels[0] if unreadable(labels[0]) else labels[1]
+        assert str(exc).startswith(f"line 1: basis label {first!r} ")
+        assert "\n" not in str(exc)
+        return
+    assert not unreadable(labels[0]) and not unreadable(labels[1])
+    W = WordAlgebra(family_structure(Fraction(1, 2)), A)
+    uv = W.product(u, v)
+    for value in (FormalSum.zero(), u, v, uv, uv.scale(Fraction(-2, 3)), u - u.scale(2)):
+        assert _reads_back(value, A, W)
+
+
+@pytest.mark.parametrize("label", ["0x", "a-b", "0", "2", "1/2"])
+def test_a_refused_basis_label_would_print_sums_that_do_not_read_back(label):
+    with pytest.raises(StructureError, match=f"^line 1: basis label {re.escape(repr(label))} "):
+        parse_algebra(_poly_text(["1", label]))
+    A = FiniteAlgebra(("1", label), truncated_poly().mult, unit=0, commutative=True)
+    with pytest.raises(StructureError, match=f"^basis label {re.escape(repr(label))} "):
+        serialize_algebra(A)
+    # the same algebra built in the library prints what does not read back
+    W = WordAlgebra(family_structure(Fraction(1, 2)), A)
+    word = fs(TypedWord((1, 0, 1), (0, 1)))
+    values = [FormalSum.zero(), word, word.scale(2), word.scale(Fraction(1, 2))]
+    assert not all(_reads_back(value, A, W) for value in values)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import tables as fixtures
 from .omega import OmegaStructure, OpTable, StructureError, check_lambda_ets, check_maps_level
-from .omega import LEVELS, is_commutative, opposite, pointwise_filter, swap_conjugate
+from .omega import LEVELS, exact_scalar, is_commutative, opposite, pointwise_filter, swap_conjugate
 from .omega import _conj_rows, _default_labels
 
 __all__ = [
@@ -251,7 +251,7 @@ def verify_lambda_ets_table(samples=DEFAULT_SAMPLES) -> VerificationReport:
     """Run the generalized map-level checker on every named weight-level row
     at every sample point, including the associative-dot family."""
     report = VerificationReport("weight-level table")
-    samples = tuple(Fraction(s) for s in samples)
+    samples = tuple(exact_scalar(s, "sample") for s in samples)
     for row in fixtures.LETS_ROWS:
         for l, m in _param_grid(row.nparams, samples):
             s = row.instantiate(l, m)
@@ -275,7 +275,7 @@ def verify_table_remarks(samples=DEFAULT_SAMPLES) -> VerificationReport:
     """Check the commutativity and opposite statements attached to the
     weight-level table, parameter slots matched."""
     report = VerificationReport("weight-level table remarks")
-    samples = tuple(Fraction(s) for s in samples)
+    samples = tuple(exact_scalar(s, "sample") for s in samples)
     swap = (1, 0)
     for name in fixtures.COMMUTATIVE_ROW_NAMES:
         row = fixtures.lets_row(name)
@@ -338,7 +338,7 @@ def verify_table_remarks(samples=DEFAULT_SAMPLES) -> VerificationReport:
 def lambda_constraint_probe(eds: OmegaStructure, dot: OpTable, samples=DEFAULT_SAMPLES):
     """Pass/fail of the strict checker over every weight 4-tuple from the
     sample set, for one EDS and one dot table."""
-    samples = tuple(Fraction(s) for s in samples)
+    samples = tuple(exact_scalar(s, "sample") for s in samples)
     results = []
     for combo in itertools.product(samples, repeat=eds.size * eds.size):
         lam = tuple(

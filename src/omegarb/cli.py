@@ -39,7 +39,8 @@ EXIT_USAGE = 2
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig: a byte-order mark that an editor saved is not read as text
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return fh.read()
 
 

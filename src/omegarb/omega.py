@@ -25,16 +25,21 @@ of tensor factors that X acts on.  Adding an identity means adding one row
 
 The structure, algebra and substitution file formats share one record reader,
 :func:`read_fields`, and one compiled-regex literal reader for scalars (an
-``int``, or a ``Fraction`` for a non-integral ``p/q``), lists and sums.
+``int``, or a ``Fraction`` for a non-integral ``p/q``), lists and sums.  A
+structure table written as a JSON array of arrays of ints, such as
+``[[0,1],[1,0]]`` (the form :func:`serialize_structure` writes), is read in
+one pass of json's C scanner instead; every other form of a value is read as
+before, by the literal reader.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress, count, product, repeat
 from operator import add, itemgetter, mul, ne
 
@@ -46,6 +51,7 @@ __all__ = [
     "Violation",
     "AxiomReport",
     "StructureError",
+    "exact_scalar",
     "check_diassociative",
     "check_eds",
     "check_lambda_ets",
@@ -81,23 +87,39 @@ class StructureError(ValueError):
 
 
 def _table_entry(v) -> int:
-    iv = int(v)
-    if iv != v:
+    """An operation-table entry as an int.  An int, or a Fraction when
+    integral; anything else (a float, a bool, a string) is refused by type."""
+    if type(v) is int:
+        return v
+    if type(v) is not Fraction:
+        raise StructureError(f"table entry {v!r} ({type(v).__name__}) is not an integer")
+    if v.denominator != 1:
         raise StructureError(f"table entry {v} is not an integer")
-    return iv
+    return v.numerator
 
 
-def _weight_entry(v, i: int, j: int) -> Scalar:
-    """lambda[i][j] in canonical form: an ``int`` when integral, else a
-    ``Fraction``.  Anything but an int or a Fraction (a float, a string, a
-    bool) is refused here, before a checker or a product meets it."""
+def exact_scalar(v, what: str) -> Scalar:
+    """v in canonical form: an ``int`` when integral, else a ``Fraction``.
+    Anything but an int or a Fraction (a float, a string, a bool) is refused,
+    naming ``what`` and v, rather than turned into a rational."""
     if type(v) is Fraction:
         return v.numerator if v.denominator == 1 else v
     if type(v) is not int:
         raise StructureError(
-            f"lambda[{i}][{j}] must be an int or a Fraction, got {v!r} ({type(v).__name__})"
+            f"{what} must be an int or a Fraction, got {v!r} ({type(v).__name__})"
         )
     return v
+
+
+def _plain_table(rows, n: int) -> bool:
+    """Whether rows is n rows of n ints, each in 0..n-1."""
+    for row in rows:
+        if len(row) != n:
+            return False
+        for v in row:
+            if type(v) is not int or not 0 <= v < n:
+                return False
+    return True
 
 
 class OpTable:
@@ -106,14 +128,18 @@ class OpTable:
     __slots__ = ("n", "rows")
 
     def __init__(self, rows):
-        rows = tuple(tuple(_table_entry(v) for v in row) for row in rows)
+        rows = tuple(map(tuple, rows))
         n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise StructureError("operation table must be square")
-            for v in row:
-                if not 0 <= v < n:
-                    raise StructureError(f"table entry {v} out of range 0..{n - 1}")
+        if not _plain_table(rows, n):
+            # every entry is converted before any shape or range check, so of
+            # several faults the first in this order is the one named
+            rows = tuple(tuple(map(_table_entry, row)) for row in rows)
+            for row in rows:
+                if len(row) != n:
+                    raise StructureError("operation table must be square")
+                for v in row:
+                    if not 0 <= v < n:
+                        raise StructureError(f"table entry {v} out of range 0..{n - 1}")
         self.n = n
         self.rows = rows
 
@@ -194,7 +220,8 @@ class OmegaStructure:
     ``lam`` is stored canonical, however it was passed: a tuple of row
     tuples, each entry an ``int`` when integral and a ``Fraction`` otherwise,
     so the checkers and products compare and multiply ints on integral
-    weights.  An entry that is not an int or a Fraction is refused.
+    weights.  An entry that is not an int or a Fraction is refused.  ``psi``
+    is stored as a tuple of row tuples too.
     """
 
     size: int
@@ -227,12 +254,14 @@ class OmegaStructure:
             if len(self.lam) != n or any(len(row) != n for row in self.lam):
                 raise StructureError("lambda table has wrong shape")
             object.__setattr__(self, "lam", tuple(
-                tuple(_weight_entry(v, i, j) for j, v in enumerate(row))
+                tuple(exact_scalar(v, f"lambda[{i}][{j}]") if type(v) is not int else v
+                      for j, v in enumerate(row))
                 for i, row in enumerate(self.lam)
             ))
         if self.psi is not None:
             if len(self.psi) != n or any(len(row) != n for row in self.psi):
                 raise StructureError("psi table has wrong shape")
+            object.__setattr__(self, "psi", tuple(map(tuple, self.psi)))
             for row in self.psi:
                 for cell in row:
                     for b in cell._terms:
@@ -806,7 +835,7 @@ def ets_to_lambda_ets(s: OmegaStructure, mu) -> OmegaStructure:
     rep = check_ets(s)
     if not rep.ok:
         raise StructureError("input does not satisfy the ETS axioms:\n" + rep.summary())
-    mu = tuple(Fraction(m) for m in mu)
+    mu = tuple(exact_scalar(m, "mu entry") for m in mu)
     lam = tuple(
         tuple(mu[s.star(i, j)] for j in range(s.size)) for i in range(s.size)
     )
@@ -834,7 +863,7 @@ def example_weight_zero(eds: OmegaStructure, dot: OpTable | None = None) -> Omeg
     if not rep.ok:
         raise StructureError("not an EDS:\n" + rep.summary())
     dot = dot if dot is not None else _proj_first(eds.size)
-    zero = tuple(tuple(Fraction(0) for _ in range(eds.size)) for _ in range(eds.size))
+    zero = tuple(tuple(0 for _ in range(eds.size)) for _ in range(eds.size))
     return replace(eds, dot=dot, lam=zero, psi=None, weight_zero=False)
 
 
@@ -842,7 +871,7 @@ def example_matching(weights, labels=None) -> OmegaStructure:
     """The set-indexed construction: projections for the four operations and
     weight lambda[a,b] = weights[b] with dot the first projection."""
     n = len(weights)
-    weights = tuple(Fraction(w) for w in weights)
+    weights = tuple(exact_scalar(w, "weight") for w in weights)
     lam = tuple(tuple(weights[j] for j in range(n)) for _ in range(n))
     return OmegaStructure(
         size=n,
@@ -861,7 +890,7 @@ def example_semigroup(table: OpTable, lam_const, labels=None) -> OmegaStructure:
     if not table.is_associative():
         raise StructureError("semigroup construction requires an associative table")
     n = table.n
-    c = Fraction(lam_const)
+    c = exact_scalar(lam_const, "weight")
     return OmegaStructure(
         size=n,
         labels=tuple(labels) if labels else _default_labels(n),
@@ -898,11 +927,11 @@ def example_abelian_group(table: OpTable, lam_const, labels=None) -> OmegaStruct
                 break
         if inv[x] is None:
             raise StructureError("group construction requires inverses")
-    c = Fraction(lam_const)
+    c = exact_scalar(lam_const, "weight")
     lhd = OpTable(tuple(tuple(table(i, inv[j]) for j in range(n)) for i in range(n)))
     rhd = OpTable(tuple(tuple(table(inv[i], j) for j in range(n)) for i in range(n)))
     lam = tuple(
-        tuple(c if i == j else Fraction(0) for j in range(n)) for i in range(n)
+        tuple(c if i == j else 0 for j in range(n)) for i in range(n)
     )
     return OmegaStructure(
         size=n,
@@ -1031,6 +1060,31 @@ def _parse_value(text: str):
             return value
 
 
+# json's C scanner: the value at an offset of a text, and the offset after it
+_SCAN_JSON = json.JSONDecoder().scan_once
+
+
+def _int_rows(text: str):
+    """The rows of ``text`` when it is a JSON array of arrays of ints, such as
+    ``[[0,1],[1,0]]``, read in one pass of json's C scanner; else None, and
+    :func:`_parse_value` reads the text.  The literal reader gives the same
+    rows for every text this accepts."""
+    try:
+        rows, end = _SCAN_JSON(text, 0)
+    except (ValueError, StopIteration, RecursionError):
+        return None
+    if end != len(text) or type(rows) is not list:
+        return None
+    for row in rows:
+        if type(row) is not list:
+            return None
+        for v in row:
+            # a bool, a float, NaN or a string is not a plain int
+            if type(v) is not int:
+                return None
+    return rows
+
+
 def _as_matrix(value, what, cell):
     """A list-of-rows value with ``cell`` applied to each entry."""
     if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
@@ -1067,10 +1121,6 @@ def _as_flag(text: str, what) -> bool:
         ) from None
 
 
-def _as_int_table(value, what):
-    return OpTable(_as_matrix(value, what, lambda v: _as_scalar(v, f"{what} table entry")))
-
-
 def _as_sum_cell(cell, what):
     """A table cell: a formal sum {basis index: scalar} or a bare basis index."""
     if isinstance(cell, dict):
@@ -1083,6 +1133,18 @@ def _as_sum_cell(cell, what):
 
 # how a cell of a weight table is read (an operation table is an OpTable)
 _CELLS = {"lam": lambda v: _as_scalar(v, "lambda entry"), "psi": lambda v: _as_sum_cell(v, "psi")}
+
+
+def _read_table(text: str, attr: str, key: str):
+    """The rows of table ``attr``, written as ``text`` under ``key``.  Rows of
+    ints go straight to ``OpTable`` or ``OmegaStructure``, which check the
+    rest; any other value goes through the cell reader, as do psi's rows,
+    whose bare basis indices become formal sums."""
+    rows = None if attr == "psi" else _int_rows(text)
+    if rows is None:
+        cell = _CELLS.get(attr) or partial(_as_scalar, what=f"{key} table entry")
+        rows = _as_matrix(_parse_value(text), key, cell)
+    return rows if attr in _CELLS else OpTable(rows)
 
 
 def parse_structure(text: str) -> OmegaStructure:
@@ -1100,13 +1162,9 @@ def parse_structure(text: str) -> OmegaStructure:
             if i < 4:
                 raise StructureError(f"missing table {key!r}")
             continue
-        raw = _parse_value(fields.pop(key)[1])
-        if attr in _CELLS:
-            tables[attr] = tuple(map(tuple, _as_matrix(raw, key, _CELLS[attr])))
-        else:
-            tables[attr] = _as_int_table(raw, key)
-            if i < 4 and tables[attr].n != size:
-                raise StructureError(f"table {key} has wrong size")
+        tables[attr] = _read_table(fields.pop(key)[1], attr, key)
+        if i < 4 and tables[attr].n != size:
+            raise StructureError(f"table {key} has wrong size")
     # the default labels only once the required tables have bounded the size
     labels_field = fields.pop("labels", None)
     labels = tuple(labels_field[1].split()) if labels_field else _default_labels(size)

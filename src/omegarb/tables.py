@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .omega import OmegaStructure, OpTable
+from .omega import OmegaStructure, OpTable, exact_scalar
 from .scalars import FormalSum
 
 __all__ = [
@@ -115,7 +115,7 @@ class LambdaEtsRow:
 
     def instantiate(self, l=Fraction(0), m=Fraction(0)) -> OmegaStructure:
         return _on_ab(self.left, self.right, self.lhd, self.rhd,
-                      psi=self.psi_builder(Fraction(l), Fraction(m)))
+                      psi=self.psi_builder(exact_scalar(l, "l"), exact_scalar(m, "m")))
 
 
 _ROWS = [
@@ -160,7 +160,7 @@ F3_ROW = ("aabb", "abab", "abab", "aabb")
 
 
 def f3_instance(dot_code: str, l=Fraction(1)) -> OmegaStructure:
-    return _on_ab(*F3_ROW, psi=_psi_scaled(dot_code)(Fraction(l), 0))
+    return _on_ab(*F3_ROW, psi=_psi_scaled(dot_code)(exact_scalar(l, "l"), 0))
 
 
 def lets_row(name: str) -> LambdaEtsRow:
@@ -272,14 +272,11 @@ def ets_fixture_structures():
 
 
 def _lam_const(c):
-    c = Fraction(c)
     return ((c, c), (c, c))
 
 
 def _lam_diag(c):
-    c = Fraction(c)
-    z = Fraction(0)
-    return ((c, z), (z, c))
+    return ((c, 0), (0, c))
 
 
 _STRICT_COMMUTATIVE = (
@@ -304,7 +301,7 @@ _STRICT_COMMUTATIVE = (
 def strict_commutative_instances(c=Fraction(1, 2)):
     """Strict (dot, lambda) structures for the commutative families at a
     scalar sample c; each corresponds to a one-parameter slice of its row."""
-    c = Fraction(c)
+    c = exact_scalar(c, "weight")
     rows = [(name, lets_row(rowname), dot, lam) for name, rowname, dot, lam in _STRICT_COMMUTATIVE]
     return [(name, _on_ab(row.left, row.right, row.lhd, row.rhd, dot=dot, lam=lam(c)))
             for name, row, dot, lam in rows]

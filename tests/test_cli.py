@@ -1,14 +1,22 @@
 import importlib.util
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reader_oracle
 import structure_oracle as oracle
 from omegarb.cli import main
-from omegarb.omega import StructureError, _parse_value, parse_structure, serialize_structure
+from omegarb.omega import (
+    StructureError,
+    _int_rows,
+    _parse_value,
+    parse_structure,
+    serialize_structure,
+)
 from omegarb.trees import MAX_TREE_DEPTH, ExprError, TreeAlgebra, depth, parse_tree_expr
 from omegarb.words import (
     MAX_WORD_LENGTH,
@@ -870,6 +878,78 @@ def test_literals_read_as_the_frozen_oracle_reads_them(text):
     if got[0] == "value":
         # exact form: an int for an integer, a Fraction only when not integral
         assert all(type(x) is int or x.denominator != 1 for x in _scalars(got[1]))
+
+
+# table values of each kind a file may hold: JSON int tables with and
+# without spaces, and cells, separators and endings that json's scanner
+# refuses, or reads as something other than an int
+_ODD_CELLS = ["0", "1", "2", "-1", "-0", "01", "1/2", "4/2", "1e5", "1.0", "true", "NaN",
+              '"1"', "{0:1}", "{1:1/2, 0:2}", "{}", "[0]", "[[1]]", "[]", "9" * 30]
+_ODD_SEPARATORS = [",", ", ", " , ", " ", ",,", "\t,"]
+_ODD_ENDINGS = ["", "", "", "]", "[", " 1", ",", "}", "x"]
+
+
+@st.composite
+def _table_values(draw):
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.lists(st.integers(-1, 3), max_size=3), max_size=3))
+        return json.dumps(rows, separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])))
+    rows = draw(st.lists(st.lists(st.sampled_from(_ODD_CELLS), max_size=3), max_size=3))
+    sep = draw(st.sampled_from(_ODD_SEPARATORS))
+    text = "[" + sep.join("[" + sep.join(row) + "]" for row in rows) + "]"
+    # dropping closing brackets leaves one or two unclosed
+    return text[:len(text) - draw(st.integers(0, 2))] + draw(st.sampled_from(_ODD_ENDINGS))
+
+
+def _result(parse, text):
+    """The value, or the type and message of whatever parse raised."""
+    try:
+        return "value", parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["left", "rhd", "dot", "lambda", "psi"]), _table_values())
+@example("left", "[" * 5000 + "]" * 5000)
+@example("lambda", "[" * 5000 + "1" + "]" * 5000)
+@example("dot", "[[0,1],[1,0]] [[0,1],[1,0]]")
+def test_table_values_read_as_the_frozen_reader_reads_them(key, value):
+    base = PSI_TEXT if key == "psi" else STRUCTURE_TEXT
+    text = re.sub(rf"(?m)^{key}\b.*$", lambda _: f"{key} = {value}", base, count=1)
+    # the same value down to the types (ints, and Fractions only where not
+    # integral), or the same exception type and message
+    want = _result(reader_oracle.parse_structure, text)
+    assert repr(_result(parse_structure, text)) == repr(want)
+    rows = _int_rows(value)
+    if rows is not None:
+        assert rows == reader_oracle._parse_value(value)
+        assert all(type(v) is int for row in rows for v in row)
+
+
+@pytest.mark.parametrize("name", STRUCTURE_FILES)
+def test_written_int_tables_take_the_json_scanner(name):
+    # what serialize_structure writes for an operation table, and for a
+    # lambda table of ints, is read by json's C scanner
+    s = parse_structure((SAMPLES / name).read_text())
+    for key, _, value in (line.partition(" = ") for line in serialize_structure(s).splitlines()):
+        key = key.strip()
+        if key not in ("size", "labels", "psi"):
+            int_lambda = key != "lambda" or all(type(v) is int for row in s.lam for v in row)
+            assert (_int_rows(value) is not None) == int_lambda, (key, value)
+
+
+def test_a_byte_order_mark_does_not_change_what_a_file_reads_as(tmp_path):
+    bom = tmp_path / "family_z2-bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + (SAMPLES / "family_z2.txt").read_bytes())
+    for argv in (["check", "{}", "--level", "maps"],
+                 ["product", "--omega", "{}", "--expr", "([a](| x |)) * ([b](| x [a](|) x |))"]):
+        outputs = []
+        for path in (Z2_FILE, bom):
+            out = tmp_path / "out.txt"
+            code = main([str(path) if a == "{}" else a for a in argv] + ["--out", str(out)])
+            outputs.append((code, out.read_bytes()))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
 # -- numeric type labels ------------------------------------------------------

@@ -234,6 +234,68 @@ def test_a_weight_that_is_not_an_int_or_fraction_is_refused(entry):
         replace(s, lam=((1, 1), (1, entry)))
 
 
+ETS = struct("aaaa", "aaaa", "aaaa", "aaaa", dot="aaaa", star="bbbb")
+
+# every entry point that takes weights or weight samples from a caller
+WEIGHT_ENTRY_POINTS = {
+    "example_matching": lambda w: example_matching([1, w]),
+    "example_semigroup": lambda w: example_semigroup(XOR, w),
+    "example_abelian_group": lambda w: example_abelian_group(XOR, w),
+    "strict_commutative_instances": strict_commutative_instances,
+    "ets_to_lambda_ets": lambda w: ets_to_lambda_ets(ETS, (1, w)),
+    "lets_row.instantiate": lambda w: lets_row("A1").instantiate(w, 0),
+    "f3_instance": lambda w: f3_instance("abba", w),
+    "verify_lambda_ets_table": lambda w: classify.verify_lambda_ets_table((0, w)),
+    "verify_table_remarks": lambda w: classify.verify_table_remarks((0, w)),
+    "lambda_constraint_probe": lambda w: classify.lambda_constraint_probe(
+        struct("aaaa", "aaaa", "abab", "aabb"), XOR, samples=(0, w)),
+}
+
+
+@pytest.mark.parametrize("name", WEIGHT_ENTRY_POINTS)
+@pytest.mark.parametrize("weight", [0.1, 0.5, True, "1/2"])
+def test_a_weight_that_is_not_exact_is_refused_not_converted(name, weight):
+    # example_semigroup(XOR, 0.1) used to build 3602879701896397/36028797018963968
+    with pytest.raises(StructureError) as exc:
+        WEIGHT_ENTRY_POINTS[name](weight)
+    got = f"got {weight!r} ({type(weight).__name__})"
+    assert f"must be an int or a Fraction, {got}" in str(exc.value)
+
+
+@pytest.mark.parametrize("entry, message", [
+    (1.0, "table entry 1.0 (float) is not an integer"),
+    (0.0, "table entry 0.0 (float) is not an integer"),
+    (True, "table entry True (bool) is not an integer"),
+    ("1", "table entry '1' (str) is not an integer"),
+    (None, "table entry None (NoneType) is not an integer"),
+    (Fraction(1, 2), "table entry 1/2 is not an integer"),
+])
+def test_an_op_table_entry_that_is_not_an_int_is_refused_by_type(entry, message):
+    # OpTable([[0.0, 1.0], [True, False]]) used to build
+    for i, j in ((0, 0), (1, 1)):
+        rows = [[0, 1], [1, 0]]
+        rows[i][j] = entry
+        with pytest.raises(StructureError) as exc:
+            OpTable(rows)
+        assert str(exc.value) == message
+
+
+def test_op_table_faults_are_named_in_one_order():
+    # every entry is converted first, then each row is checked for its
+    # length and range in turn
+    rows = OpTable([[Fraction(0), Fraction(2, 2)], [1, 0]]).rows
+    assert rows == ((0, 1), (1, 0)) and all(type(v) is int for row in rows for v in row)
+    for rows, message in [
+        ([[5, 0], [0, Fraction(1, 2)]], "table entry 1/2 is not an integer"),
+        ([[0, 5], [0]], "table entry 5 out of range 0..1"),
+        ([[0], [0, 5]], "operation table must be square"),
+        ([[0, 1], [-1, 0]], "table entry -1 out of range 0..1"),
+    ]:
+        with pytest.raises(StructureError) as exc:
+            OpTable(rows)
+        assert str(exc.value) == message
+
+
 def strict_two_element_structures(eds_reps):
     """The 6,144 strict structures on two elements: an EDS representative,
     any dot table and 0/1 weights, weights given as the Fractions."""
